@@ -29,13 +29,11 @@ from .model import (
 from .solvers import (
     BUDGET_RTOL,
     BisectionOutcome,
-    EtaCandidateSet,
     ORACLE_MAX_USERS,
     beta_grid,
     beta_range,
     bisect_tau,
     enumerate_eta_vectors,
-    eta_from_tau,
     method1_power_sum,
     method2_power_sum,
     p_t_from_tau,

@@ -72,7 +72,7 @@ class CliInvocation:
     sweep_values: tuple[float, ...] | None
     force: bool
     jobs: int
-    grid_points: int
+    grid_points: int | None
 
 
 def _default_jobs() -> int:
@@ -126,8 +126,8 @@ def _build_parser() -> _Parser:
     p_oracle.add_argument(
         "--grid-points",
         type=int,
-        default=25,
-        help="oracle grid points per curve segment (default 25)",
+        default=None,
+        help="oracle grid points per curve segment (default: the config's oracle_grid_points)",
     )
     return parser
 
@@ -175,7 +175,7 @@ def _parse_invocation(argv) -> CliInvocation:
         sweep_values=sweep_values,
         force=args.force,
         jobs=args.jobs,
-        grid_points=getattr(args, "grid_points", 25),
+        grid_points=getattr(args, "grid_points", None),
     )
 
 
@@ -260,14 +260,15 @@ def _cmd_oracle_check(inv: CliInvocation) -> int:
         )
     curve = validate_curve(config.curve_knots)
     params = config.system
+    grid_points = config.oracle_grid_points if inv.grid_points is None else inv.grid_points
     r1 = solve_method1(channel, curve, params)
     r2 = solve_method2(channel, curve, params, shared_eta=config.method2_shared_eta)
-    fine = solve_oracle(channel, curve, params, inv.grid_points)
+    fine = solve_oracle(channel, curve, params, grid_points)
     knots_only = solve_oracle(channel, curve, params, 0)
 
     print(f"method1      tau={r1.tau_bps:.10e} bit/s")
     print(f"method2      tau={r2.tau_bps:.10e} bit/s")
-    print(f"oracle       tau={fine.tau_bps:.10e} bit/s ({inv.grid_points} points/segment)")
+    print(f"oracle       tau={fine.tau_bps:.10e} bit/s ({grid_points} points/segment)")
     print(f"oracle-knots tau={knots_only.tau_bps:.10e} bit/s")
     print(f"oracle - method1 = {fine.tau_bps - r1.tau_bps:.6e} bit/s")
     print(f"oracle - method2 = {fine.tau_bps - r2.tau_bps:.6e} bit/s")

@@ -5,8 +5,8 @@ powers to maximize the minimum equivalent rate, subject to a shared budget on
 transmit-plus-computation power, non-negative powers, and ratios within the
 load curve's domain.
 
-Both search schemes reduce the coupled problem to a one-dimensional
-feasibility bisection on the target rate tau:
+Both search schemes reduce the coupled problem to one-dimensional feasibility
+bisections on the target rate tau, one per outer candidate:
 
 * ``solve_method1`` fixes transmit powers proportional to inverse channel
   gain (a shared received-power level beta sampled on a grid) and solves the
@@ -15,6 +15,11 @@ feasibility bisection on the target rate tau:
   (Cartesian product across users) and solves the transmit powers from the
   equal-rate condition; for a fixed ratio vector this inner bisection is
   exact, since equalizing all user rates is optimal.
+
+All of these bisections run on one engine, :func:`bisect_tau`, which holds
+one row per candidate (a beta sample, a ratio vector) and advances every row
+in lockstep against a vectorized budget predicate: the method-1 kernel
+``_method1_power_sums`` or the fixed-ratio kernel ``_fixed_eta_power_sums``.
 
 ``solve_equal_power`` and ``solve_non_semantic`` are the comparison
 baselines, and ``solve_oracle`` densifies the ratio grid for small instances
@@ -50,9 +55,7 @@ from .model import (
 __all__ = [
     "BUDGET_RTOL",
     "BisectionOutcome",
-    "EtaCandidateSet",
     "bisect_tau",
-    "eta_from_tau",
     "p_t_from_tau",
     "beta_range",
     "beta_grid",
@@ -83,27 +86,35 @@ _CHUNK = 16384
 
 @dataclass(frozen=True)
 class BisectionOutcome:
-    """Result of one feasibility bisection.
+    """Per-row result of one lockstep feasibility bisection.
 
-    ``tau_bps`` is the highest point tested feasible (the surviving lower
-    bound). ``converged`` is False only when the initial lower bound itself
-    was infeasible.
+    ``tau_bps`` holds each row's highest point tested feasible (the surviving
+    lower bound). ``converged`` is False only for rows whose initial lower
+    bound was already infeasible; those keep ``tau_bps == lo`` and zero
+    ``iterations``.
     """
 
-    tau_bps: float
-    iterations: int
-    converged: bool
+    tau_bps: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
 
 
 def bisect_tau(
-    feasible_at: Callable[[float], bool], lo: float, hi: float, epsilon: float
+    feasible_at: Callable[[np.ndarray], np.ndarray],
+    n_rows: int,
+    lo: float,
+    hi: float,
+    epsilon: float,
 ) -> BisectionOutcome:
-    """Feasibility bisection for the largest feasible value in [lo, hi].
+    """Feasibility bisection for the largest feasible value in [lo, hi], per row.
 
-    ``feasible_at`` must be monotone: true below some threshold, false above.
-    Loops while ``hi - lo > epsilon``, keeping ``lo`` feasible and ``hi``
-    infeasible, and returns the final lower bound. If ``feasible_at(lo)`` is
-    already false the outcome is ``converged=False`` with ``tau_bps=lo``.
+    ``feasible_at`` maps a float64 array of ``n_rows`` per-row targets to a
+    bool array and must be monotone in every row: true below the row's
+    threshold, false above. Each row tests ``lo`` first, then loops while
+    ``hi - lo > epsilon``, keeping ``lo`` feasible and ``hi`` infeasible, and
+    stops early once its midpoint no longer lies strictly inside the bracket
+    (float resolution). Rows advance in lockstep but never share bounds;
+    finished rows are still evaluated, and their answers ignored.
     """
     lo = float(lo)
     hi = float(hi)
@@ -113,43 +124,27 @@ def bisect_tau(
         raise ValueError("bisection requires lo < hi")
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    if not feasible_at(lo):
-        return BisectionOutcome(tau_bps=lo, iterations=0, converged=False)
-    iterations = 0
-    while hi - lo > epsilon:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # interval narrower than float resolution
-        iterations += 1
-        if feasible_at(mid):
-            lo = mid
-        else:
-            hi = mid
-    return BisectionOutcome(tau_bps=lo, iterations=iterations, converged=True)
+    lo_row = np.full(n_rows, lo)
+    hi_row = np.full(n_rows, hi)
+    converged = feasible_at(lo_row)
+    iterations = np.zeros(n_rows, dtype=np.int64)
+    active = converged & (hi_row - lo_row > epsilon)
+    while np.any(active):
+        mid = 0.5 * (lo_row + hi_row)
+        active &= (lo_row < mid) & (mid < hi_row)
+        feasible = feasible_at(mid)
+        lo_row = np.where(active & feasible, mid, lo_row)
+        hi_row = np.where(active & ~feasible, mid, hi_row)
+        iterations += active
+        active &= hi_row - lo_row > epsilon
+    return BisectionOutcome(tau_bps=lo_row, iterations=iterations, converged=converged)
 
 
-def eta_from_tau(
-    tau: float,
-    p_t: float,
-    h: float,
-    params: SystemParams,
-    eta_floor: float,
-) -> float | None:
-    """Ratio a user needs to hit rate tau at fixed transmit power.
-
-    Solves the equal-rate condition for the compression ratio. Ratios above
-    1 are clamped to 1 (the user overshoots tau at zero compute cost);
-    ratios below ``eta_floor`` fall outside the load curve's domain and
-    return None (infeasible).
-    """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    eta = channel_capacity(p_t, h, params) / tau
-    if eta > 1.0:
-        return 1.0
-    if eta < eta_floor:
+def _best_row(outcome: BisectionOutcome) -> int | None:
+    """Row with the highest converged tau, earliest on ties; None if none."""
+    if not np.any(outcome.converged):
         return None
-    return eta
+    return int(np.argmax(np.where(outcome.converged, outcome.tau_bps, -math.inf)))
 
 
 def p_t_from_tau(tau: float, eta: float, h: float, params: SystemParams) -> float:
@@ -194,27 +189,6 @@ def beta_grid(beta_max: float, m: int) -> np.ndarray:
     return np.linspace(0.0, beta_max, int(m))
 
 
-@dataclass(frozen=True)
-class EtaCandidateSet:
-    """Per-user candidate ratios for the fixed-ratio scheme: all knot values."""
-
-    per_user_values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        vals = self.per_user_values
-        if not vals or vals[0] != 1.0:
-            raise ValueError("candidate ratios must start at 1")
-        for i in range(1, len(vals)):
-            if not vals[i] < vals[i - 1]:
-                raise ValueError("candidate ratios must be strictly decreasing")
-        if vals[-1] <= 0:
-            raise ValueError("candidate ratios must be positive")
-
-    @classmethod
-    def from_curve(cls, curve: CompLoadCurve) -> "EtaCandidateSet":
-        return cls(curve.candidate_etas)
-
-
 def enumerate_eta_vectors(
     curve: CompLoadCurve, n_users: int
 ) -> Iterator[tuple[float, ...]]:
@@ -224,8 +198,7 @@ def enumerate_eta_vectors(
     (S+1)^n_users vectors, starting at all-ones. The caller is responsible
     for bounding n_users; the count grows exponentially.
     """
-    cands = EtaCandidateSet.from_curve(curve).per_user_values
-    return itertools.product(cands, repeat=n_users)
+    return itertools.product(curve.candidate_etas, repeat=n_users)
 
 
 # ---------------------------------------------------------------------------
@@ -233,29 +206,39 @@ def enumerate_eta_vectors(
 # ---------------------------------------------------------------------------
 
 
-def _beta_power_sum(
-    p_t: list[float],
-    caps: list[float],
+def _capacities(p_t_mat: np.ndarray, gains: np.ndarray, params: SystemParams) -> np.ndarray:
+    # Scalar channel_capacity on purpose: np.log1p and math.log1p disagree in
+    # the last bit on some inputs, and the ratios must match the capacities
+    # derive_allocation computes for the reported rates.
+    g = [float(h) for h in gains]
+    return np.array(
+        [[channel_capacity(p, g[n], params) for n, p in enumerate(row)]
+         for row in p_t_mat.tolist()]
+    )
+
+
+def _method1_power_sums(
+    p_t_mat: np.ndarray,
+    caps_mat: np.ndarray,
     curve: CompLoadCurve,
     params: SystemParams,
-    tau: float,
-) -> float:
-    """Total power at target tau with fixed per-user transmit powers.
+    taus: np.ndarray,
+) -> np.ndarray:
+    """Row-wise total power at per-row targets taus with fixed transmit powers.
 
     Each user's ratio follows from the equal-rate condition (capacity over
-    tau, clamped at 1); a ratio below the curve domain makes the whole
-    candidate infeasible, reported as +inf.
+    tau, clamped at 1, so tau = 0 clamps every ratio to 1). A row with some
+    ratio below the curve domain, or undefined (0/0: zero power at tau = 0),
+    is infeasible, reported as +inf. Users are added in index order, so each
+    row sum is the left-to-right scalar sum bit for bit.
     """
-    floor = curve.eta_floor
-    p0 = params.p0_w_per_load
-    total = 0.0
-    for i in range(len(p_t)):
-        eta = caps[i] / tau
-        if eta > 1.0:
-            eta = 1.0
-        elif eta < floor:
-            return math.inf
-        total += p_t[i] + curve.load_at(eta) * p0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eta = np.minimum(caps_mat / taus[:, None], 1.0)
+        terms = p_t_mat + _comp_power_matrix(eta, curve, params)
+        total = terms[:, 0].copy()
+        for n in range(1, terms.shape[1]):
+            total += terms[:, n]
+        total[~np.all(eta >= curve.eta_floor, axis=1)] = math.inf
     return total
 
 
@@ -268,13 +251,13 @@ def method1_power_sum(
 ) -> float:
     """Budget predicate body for the proportional-power scheme.
 
-    Exactly the power sum the solver's inner bisection evaluates at
-    (beta, tau); exposed so tests can certify the winning candidate.
+    Same arithmetic as the solver's inner bisection (single-row batch), so
+    tests can certify the winning candidate bit for bit.
     """
-    gains = [float(g) for g in channel.gains]
-    p_t = [beta / g for g in gains]
-    caps = [channel_capacity(p_t[i], gains[i], params) for i in range(len(gains))]
-    return _beta_power_sum(p_t, caps, curve, params, tau)
+    p_t = float(beta) / channel.gains[None, :]
+    caps = _capacities(p_t, channel.gains, params)
+    taus = np.array([float(tau)])
+    return float(_method1_power_sums(p_t, caps, curve, params, taus)[0])
 
 
 def solve_method1(
@@ -284,31 +267,24 @@ def solve_method1(
 
     For each sampled beta, transmit powers are beta over the gain (equal
     received power, hence equal capacity up to rounding) and tau is bisected
-    against the power budget. The best tau across the grid wins; ties break
-    toward the smaller beta.
+    against the power budget, one engine row per beta. The best tau across
+    the grid wins; ties break toward the smaller beta.
     """
-    gains = [float(g) for g in channel.gains]
-    n = len(gains)
+    n = channel.n_users
     betas = beta_grid(beta_range(channel, params), params.m_beta_samples)
+    p_t = betas[:, None] / channel.gains[None, :]
+    caps = _capacities(p_t, channel.gains, params)
     budget_tol = params.p_max_w * (1.0 + BUDGET_RTOL)
-    best_tau = -math.inf
-    best: tuple[float, list[float], list[float]] | None = None
-    iters_total = 0
-    for beta_raw in betas:
-        beta = float(beta_raw)
-        p_t = [beta / g for g in gains]
-        caps = [channel_capacity(p_t[i], gains[i], params) for i in range(n)]
-        outcome = bisect_tau(
-            lambda tau: _beta_power_sum(p_t, caps, curve, params, tau) <= budget_tol,
-            params.tau_lo_init,
-            params.tau_hi_init,
-            params.epsilon,
-        )
-        iters_total += outcome.iterations
-        if outcome.converged and outcome.tau_bps > best_tau:
-            best_tau = outcome.tau_bps
-            best = (beta, p_t, caps)
-    if best is None:
+    outcome = bisect_tau(
+        lambda taus: _method1_power_sums(p_t, caps, curve, params, taus) <= budget_tol,
+        len(betas),
+        params.tau_lo_init,
+        params.tau_hi_init,
+        params.epsilon,
+    )
+    iters_total = int(outcome.iterations.sum())
+    k = _best_row(outcome)
+    if k is None:
         return SolveReport(
             method=Method.METHOD1,
             tau_bps=0.0,
@@ -317,20 +293,19 @@ def solve_method1(
             outer_candidates_evaluated=len(betas),
             bisection_iterations_total=iters_total,
         )
-    beta, p_t, caps = best
-    etas = []
-    for i in range(n):
-        eta = caps[i] / best_tau
-        etas.append(1.0 if eta > 1.0 else eta)
-    alloc = derive_allocation(etas, p_t, channel, curve, params)
+    tau = float(outcome.tau_bps[k])
+    # the winning row converged, so its ratios are defined even at tau = 0
+    with np.errstate(divide="ignore"):
+        etas = np.minimum(caps[k] / tau, 1.0)
+    alloc = derive_allocation(etas, p_t[k], channel, curve, params)
     return SolveReport(
         method=Method.METHOD1,
-        tau_bps=best_tau,
+        tau_bps=tau,
         allocation=alloc,
         feasible=True,
         outer_candidates_evaluated=len(betas),
         bisection_iterations_total=iters_total,
-        winning_beta=beta,
+        winning_beta=float(betas[k]),
     )
 
 
@@ -391,44 +366,6 @@ def _comp_power_matrix(
     return loads * params.p0_w_per_load
 
 
-def _batch_bisect_fixed_eta(
-    eta_mat: np.ndarray,
-    p_c_mat: np.ndarray,
-    gains: np.ndarray,
-    params: SystemParams,
-    budget_tol: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run every row's tau bisection in lockstep.
-
-    Per row this reproduces the scalar loop of :func:`bisect_tau` with the
-    budget predicate: keep the lower bound feasible, halve until the width
-    drops below epsilon. Returns (tau, converged, iterations) per row.
-    """
-    n_rows = eta_mat.shape[0]
-    lo = np.full(n_rows, float(params.tau_lo_init))
-    hi = np.full(n_rows, float(params.tau_hi_init))
-    eps = params.epsilon
-
-    p_lo = _fixed_eta_power_sums(eta_mat, p_c_mat, gains, params, lo)
-    alive = p_lo <= budget_tol
-    iters = np.zeros(n_rows, dtype=np.int64)
-    stalled = np.zeros(n_rows, dtype=bool)
-    active = alive & ~stalled & ((hi - lo) > eps)
-    while np.any(active):
-        mid = 0.5 * (lo + hi)
-        stall_now = active & ((mid <= lo) | (mid >= hi))
-        stalled |= stall_now
-        act = active & ~stall_now
-        p_mid = _fixed_eta_power_sums(eta_mat, p_c_mat, gains, params, mid)
-        feasible = p_mid <= budget_tol
-        lo = np.where(act & feasible, mid, lo)
-        hi = np.where(act & ~feasible, mid, hi)
-        iters[act] += 1
-        active = alive & ~stalled & ((hi - lo) > eps)
-    tau = np.where(alive, lo, float(params.tau_lo_init))
-    return tau, alive, iters
-
-
 def _best_fixed_eta(
     channel: ChannelState,
     curve: CompLoadCurve,
@@ -452,16 +389,19 @@ def _best_fixed_eta(
             break
         eta_mat = np.array(chunk, dtype=np.float64)
         p_c_mat = _comp_power_matrix(eta_mat, curve, params)
-        tau, alive, iters = _batch_bisect_fixed_eta(
-            eta_mat, p_c_mat, gains, params, budget_tol
+        outcome = bisect_tau(
+            lambda taus: _fixed_eta_power_sums(eta_mat, p_c_mat, gains, params, taus)
+            <= budget_tol,
+            len(chunk),
+            params.tau_lo_init,
+            params.tau_hi_init,
+            params.epsilon,
         )
         n_seen += len(chunk)
-        iters_total += int(iters.sum())
-        if np.any(alive):
-            masked = np.where(alive, tau, -math.inf)
-            k = int(np.argmax(masked))  # first occurrence wins ties
-            if best is None or masked[k] > best[0]:
-                best = (float(masked[k]), chunk[k])
+        iters_total += int(outcome.iterations.sum())
+        k = _best_row(outcome)
+        if k is not None and (best is None or outcome.tau_bps[k] > best[0]):
+            best = (float(outcome.tau_bps[k]), chunk[k])
     return best, n_seen, iters_total
 
 
@@ -513,9 +453,8 @@ def solve_method2(
     ratio for all users instead of the full Cartesian product.
     """
     if shared_eta:
-        cands = EtaCandidateSet.from_curve(curve).per_user_values
         vectors: Iterable[tuple[float, ...]] = (
-            (v,) * channel.n_users for v in cands
+            (v,) * channel.n_users for v in curve.candidate_etas
         )
     else:
         vectors = enumerate_eta_vectors(curve, channel.n_users)

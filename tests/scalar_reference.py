@@ -1,0 +1,104 @@
+"""Scalar reference for the proportional-power scheme.
+
+One Python-float bisection per beta sample, with a user-by-user power sum:
+the straightforward form of method 1. The package runs the same search as
+numpy rows in lockstep; tests compare the two bit for bit.
+"""
+
+import math
+
+from pscom_alloc import (
+    BUDGET_RTOL,
+    Method,
+    SolveReport,
+    beta_grid,
+    beta_range,
+    channel_capacity,
+    derive_allocation,
+)
+from pscom_alloc.model import zero_allocation
+
+
+def scalar_bisect_tau(feasible_at, lo, hi, epsilon):
+    """Largest feasible tau in [lo, hi]: returns (tau, iterations, converged).
+
+    Tests ``lo`` first; if it is infeasible the result is ``(lo, 0, False)``.
+    Otherwise halves while ``hi - lo > epsilon``, stopping early when the
+    midpoint no longer lies strictly inside the bracket.
+    """
+    lo = float(lo)
+    hi = float(hi)
+    if not feasible_at(lo):
+        return lo, 0, False
+    iterations = 0
+    while hi - lo > epsilon:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # interval narrower than float resolution
+        iterations += 1
+        if feasible_at(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, iterations, True
+
+
+def beta_power_sum(p_t, caps, curve, params, tau):
+    """Total power at target tau with fixed per-user transmit powers."""
+    floor = curve.eta_floor
+    p0 = params.p0_w_per_load
+    total = 0.0
+    for i in range(len(p_t)):
+        eta = caps[i] / tau
+        if eta > 1.0:
+            eta = 1.0
+        elif eta < floor:
+            return math.inf
+        total += p_t[i] + curve.load_at(eta) * p0
+    return total
+
+
+def solve_method1_scalar(channel, curve, params):
+    """Method 1 with one scalar bisection per beta sample."""
+    gains = [float(g) for g in channel.gains]
+    n = len(gains)
+    betas = beta_grid(beta_range(channel, params), params.m_beta_samples)
+    budget_tol = params.p_max_w * (1.0 + BUDGET_RTOL)
+    best_tau = -math.inf
+    best = None
+    iters_total = 0
+    for beta_raw in betas:
+        beta = float(beta_raw)
+        p_t = [beta / g for g in gains]
+        caps = [channel_capacity(p_t[i], gains[i], params) for i in range(n)]
+        tau, iterations, converged = scalar_bisect_tau(
+            lambda t: beta_power_sum(p_t, caps, curve, params, t) <= budget_tol,
+            params.tau_lo_init,
+            params.tau_hi_init,
+            params.epsilon,
+        )
+        iters_total += iterations
+        if converged and tau > best_tau:
+            best_tau = tau
+            best = (beta, p_t, caps)
+    if best is None:
+        return SolveReport(
+            method=Method.METHOD1,
+            tau_bps=0.0,
+            allocation=zero_allocation(n),
+            feasible=False,
+            outer_candidates_evaluated=len(betas),
+            bisection_iterations_total=iters_total,
+        )
+    beta, p_t, caps = best
+    etas = [min(c / best_tau, 1.0) for c in caps]
+    alloc = derive_allocation(etas, p_t, channel, curve, params)
+    return SolveReport(
+        method=Method.METHOD1,
+        tau_bps=best_tau,
+        allocation=alloc,
+        feasible=True,
+        outer_candidates_evaluated=len(betas),
+        bisection_iterations_total=iters_total,
+        winning_beta=beta,
+    )

@@ -6,9 +6,14 @@ import numpy as np
 import pytest
 
 from pscom_alloc import (
+    BUDGET_RTOL,
     ChannelSpec,
     default_scenario_config,
+    method1_power_sum,
+    realize_channel,
     serialize_scenario_config,
+    solve_method1,
+    validate_curve,
 )
 from pscom_alloc.cli import (
     EXIT_CONFIG,
@@ -102,6 +107,30 @@ class TestSolveCommand:
         path = _write_config(tmp_path, cfg)
         code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == EXIT_INFEASIBLE
+
+    def test_zero_lower_bound(self, config_path, tmp_path, capsys):
+        # tau_lo_init = 0 is a valid bracket: method 1 must solve it, not
+        # divide by zero, and land within epsilon of the default bracket
+        cfg = default_scenario_config()
+        zero = dataclasses.replace(cfg.system, tau_lo_init=0.0)
+        path = _write_config(tmp_path, dataclasses.replace(cfg, system=zero), "zero.json")
+        args = ["solve", "--method", "method1"]
+        assert main(args + ["--config", str(path), "--out", str(tmp_path / "z")]) == EXIT_OK
+        assert main(args + ["--config", str(config_path), "--out", str(tmp_path / "d")]) == EXIT_OK
+        row = _rows(tmp_path / "z" / "summary.csv")[0]
+        ref = _rows(tmp_path / "d" / "summary.csv")[0]
+        tau = float(row["tau_bps"])
+        assert abs(tau - float(ref["tau_bps"])) <= zero.epsilon
+        # the method-1 certificate: on budget at tau, over it at tau + 10 eps
+        chan = realize_channel(cfg.channel)
+        curve = validate_curve(cfg.curve_knots)
+        with np.errstate(all="raise"):
+            report = solve_method1(chan, curve, zero)
+        assert report.tau_bps == tau
+        tol = zero.p_max_w * (1.0 + BUDGET_RTOL)
+        at = method1_power_sum(chan, curve, zero, report.winning_beta, tau)
+        over = method1_power_sum(chan, curve, zero, report.winning_beta, tau + 10 * zero.epsilon)
+        assert at <= tol < over
 
     def test_io_failure(self, config_path, tmp_path, capsys):
         blocker = tmp_path / "blocked"
@@ -205,6 +234,20 @@ class TestOracleCheckCommand:
         code = main(["oracle-check", "--config", str(config_path)])
         assert code == EXIT_OK
         assert "oracle-check: OK" in capsys.readouterr().out
+
+
+    def test_grid_points_fall_back_to_config(self, tmp_path, capsys):
+        cfg = dataclasses.replace(
+            default_scenario_config(),
+            channel=ChannelSpec(n_users=2, gain_min=1e-10, gain_max=1e-8, seed=42),
+            oracle_grid_points=1,
+        )
+        path = _write_config(tmp_path, cfg)
+        code = main(["oracle-check", "--config", str(path)])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert "(1 points/segment)" in out
+        assert "oracle-check: OK" in out
 
 
 class TestArgumentHandling:

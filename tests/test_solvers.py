@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from pscom_alloc import (
     BUDGET_RTOL,
     ChannelState,
-    EtaCandidateSet,
     Method,
     SystemParams,
     beta_grid,
@@ -20,7 +19,6 @@ from pscom_alloc import (
     comp_power,
     enumerate_eta_vectors,
     equivalent_rate,
-    eta_from_tau,
     generate_channel_gains,
     method1_power_sum,
     method2_power_sum,
@@ -32,6 +30,9 @@ from pscom_alloc import (
     solve_oracle,
     validate_curve,
 )
+from pscom_alloc.solvers import _method1_power_sums
+
+from scalar_reference import scalar_bisect_tau, solve_method1_scalar
 
 NON_SEMANTIC_2USER = 1e7 * math.log2(4001)  # h=[1e-9,2e-9], P=6, B=1e7, s2=1e-12
 
@@ -46,22 +47,44 @@ def budget_tol(params):
 
 
 class TestEtaFromTau:
-    def test_unit_snr_at_bandwidth_rate(self, params):
-        # snr=1 and tau=B force a ratio of exactly 1
-        assert eta_from_tau(1e7, 1e-3, 1e-9, params, 0.2) == 1.0
+    """The ratio the method-1 kernel derives from tau: capacity over tau,
+    clamped at 1, infeasible below the curve floor."""
 
-    def test_double_rate_halves_ratio(self, params):
-        assert eta_from_tau(2e7, 1e-3, 1e-9, params, 0.2) == pytest.approx(0.5, rel=1e-12)
+    P_T = 1e-3
+    H = 1e-9  # with P_T, snr = 1 and capacity = B
 
-    def test_below_floor_is_infeasible(self, params):
-        assert eta_from_tau(1e9, 1e-3, 1e-9, params, 0.2) is None
+    def power_sum(self, params, curve, taus):
+        p_t = np.full((len(taus), 1), self.P_T)
+        caps = np.full((len(taus), 1), channel_capacity(self.P_T, self.H, params))
+        return _method1_power_sums(p_t, caps, curve, params, np.array(taus, dtype=float))
 
-    def test_overshoot_clamps_to_one(self, params):
-        assert eta_from_tau(5e6, 1e-3, 1e-9, params, 0.2) == 1.0
+    def test_unit_snr_at_bandwidth_rate(self, params, curve):
+        # snr=1 and tau=B force a ratio of exactly 1: no computation power
+        assert self.power_sum(params, curve, [1e7])[0] == self.P_T
 
-    def test_nonpositive_tau_rejected(self, params):
-        with pytest.raises(ValueError):
-            eta_from_tau(0.0, 1e-3, 1e-9, params, 0.2)
+    def test_double_rate_halves_ratio(self, params, curve):
+        expect = self.P_T + comp_power(curve, 0.5, params)
+        assert self.power_sum(params, curve, [2e7])[0] == pytest.approx(expect, rel=1e-12)
+
+    def test_below_floor_is_infeasible(self, params, curve):
+        assert self.power_sum(params, curve, [1e9])[0] == math.inf
+
+    def test_overshoot_clamps_to_one(self, params, curve):
+        assert self.power_sum(params, curve, [5e6])[0] == self.P_T
+
+    def test_zero_tau_clamps_every_ratio_to_one(self, params, curve, two_user_channel):
+        beta = 1e-9
+        expect = sum(beta / g for g in two_user_channel.gains)
+        with np.errstate(all="raise"):
+            at_zero = method1_power_sum(two_user_channel, curve, params, beta, 0.0)
+            # zero power at tau = 0 leaves the ratio undefined (0/0): infeasible
+            idle = method1_power_sum(two_user_channel, curve, params, 0.0, 0.0)
+        assert at_zero == expect
+        assert idle == math.inf
+
+    def test_rows_are_independent(self, params, curve):
+        sums = self.power_sum(params, curve, [5e6, 1e9, 1e7])
+        assert list(sums) == [self.P_T, math.inf, self.P_T]
 
 
 class TestPtFromTau:
@@ -132,32 +155,52 @@ class TestBetaGrid:
             beta_grid(0.0, 5)
 
 
+def always(value):
+    return lambda t: np.full(len(t), value)
+
+
 class TestBisectTau:
     def test_iteration_bound(self):
         threshold = 5e9
-        out = bisect_tau(lambda t: t <= threshold, 1e-3, 1e10, 1e-4)
-        assert out.converged
-        assert out.iterations <= 47  # ceil(log2(1e14))
-        assert abs(out.tau_bps - threshold) <= 1e-4
+        out = bisect_tau(lambda t: t <= threshold, 1, 1e-3, 1e10, 1e-4)
+        assert out.converged[0]
+        assert out.iterations[0] <= 47  # ceil(log2(1e14))
+        assert abs(out.tau_bps[0] - threshold) <= 1e-4
 
     def test_infeasible_at_lower_bound(self):
-        out = bisect_tau(lambda t: False, 1e-3, 1e10, 1e-4)
-        assert not out.converged
-        assert out.tau_bps == 1e-3
-        assert out.iterations == 0
+        out = bisect_tau(always(False), 1, 1e-3, 1e10, 1e-4)
+        assert not out.converged[0]
+        assert out.tau_bps[0] == 1e-3
+        assert out.iterations[0] == 0
 
     def test_feasible_everywhere_saturates(self):
-        out = bisect_tau(lambda t: True, 0.0, 100.0, 1e-3)
-        assert out.converged
-        assert out.tau_bps >= 100.0 - 1e-3
+        out = bisect_tau(always(True), 1, 0.0, 100.0, 1e-3)
+        assert out.converged[0]
+        assert out.tau_bps[0] >= 100.0 - 1e-3
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            bisect_tau(lambda t: True, 0.0, math.inf, 1e-4)
+            bisect_tau(always(True), 1, 0.0, math.inf, 1e-4)
         with pytest.raises(ValueError):
-            bisect_tau(lambda t: True, 5.0, 1.0, 1e-4)
+            bisect_tau(always(True), 1, 5.0, 1.0, 1e-4)
         with pytest.raises(ValueError):
-            bisect_tau(lambda t: True, 0.0, 1.0, 0.0)
+            bisect_tau(always(True), 1, 0.0, 1.0, 0.0)
+
+    def test_rows_are_independent(self):
+        # one call mixing a row that converges to epsilon, a row infeasible at
+        # lo, and a row whose threshold sits where float spacing exceeds
+        # epsilon, so it stops at float resolution
+        lo, hi, eps = 1e-3, 1e15, 1e-4
+        thresholds = np.array([5e9, 1e-4, 3e14])
+        out = bisect_tau(lambda t: t <= thresholds, 3, lo, hi, eps)
+        for row, threshold in enumerate(thresholds):
+            ref = scalar_bisect_tau(lambda t: t <= threshold, lo, hi, eps)
+            assert (out.tau_bps[row], out.iterations[row], out.converged[row]) == ref
+        assert list(out.converged) == [True, False, True]
+        assert abs(out.tau_bps[0] - 5e9) <= eps
+        assert out.tau_bps[1] == lo and out.iterations[1] == 0
+        assert out.tau_bps[2] == 3e14
+        assert np.nextafter(3e14, math.inf) - 3e14 > eps
 
 
 class TestCandidateEnumeration:
@@ -175,11 +218,15 @@ class TestCandidateEnumeration:
         assert vecs[-1] == (0.2, 0.2, 0.2)
 
     def test_candidate_set_validation(self, curve):
-        assert EtaCandidateSet.from_curve(curve).per_user_values == curve.candidate_etas
+        # validate_curve guarantees the candidate set: it starts at 1 and
+        # strictly decreases to a positive floor
+        etas = curve.candidate_etas
+        assert etas[0] == 1.0 and etas[-1] > 0
+        assert all(a > b for a, b in zip(etas, etas[1:]))
         with pytest.raises(ValueError):
-            EtaCandidateSet((0.8, 0.6))
+            validate_curve([(0.8, 0.0), (0.6, 100.0)])
         with pytest.raises(ValueError):
-            EtaCandidateSet((1.0, 0.6, 0.6))
+            validate_curve([(1.0, 0.0), (0.6, 100.0), (0.6, 200.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -196,15 +243,18 @@ class TestSolveMethod1:
         # equal-received-power rate (up to epsilon plus the on-budget slack)
         beta_max = beta_range(two_user_channel, params)
         out = bisect_tau(
-            lambda tau: method1_power_sum(two_user_channel, curve, params, beta_max, tau)
+            lambda taus: np.array(
+                [method1_power_sum(two_user_channel, curve, params, beta_max, t) for t in taus]
+            )
             <= budget_tol(params),
+            1,
             params.tau_lo_init,
             params.tau_hi_init,
             params.epsilon,
         )
-        assert out.converged
+        assert out.converged[0]
         slack = NON_SEMANTIC_2USER * 10 * BUDGET_RTOL + params.epsilon
-        assert abs(out.tau_bps - NON_SEMANTIC_2USER) <= slack
+        assert abs(out.tau_bps[0] - NON_SEMANTIC_2USER) <= slack
 
     def test_dominates_non_semantic(self, params, curve, two_user_channel):
         r1 = solve_method1(two_user_channel, curve, params)
@@ -254,6 +304,46 @@ class TestSolveMethod1:
         assert over > tol
 
 
+class TestMethod1MatchesScalarReference:
+    """The lockstep rows reproduce one scalar bisection per beta, bit for bit."""
+
+    @staticmethod
+    def assert_same(a, b):
+        assert a.tau_bps == b.tau_bps
+        assert a.winning_beta == b.winning_beta
+        assert a.bisection_iterations_total == b.bisection_iterations_total
+        assert a.feasible == b.feasible
+        assert a.allocation.tau_bps == b.allocation.tau_bps
+        for field in ("eta", "p_t_w", "p_c_w", "rates_bps"):
+            assert np.array_equal(getattr(a.allocation, field), getattr(b.allocation, field))
+
+    @pytest.mark.parametrize("n_users", range(1, 8))
+    @pytest.mark.parametrize(
+        "seed, p_max_w, noise_power_w", [(3, 6.0, 1e-12), (8, 3.0, 1e-13), (11, 6.0, 1e-11)]
+    )
+    def test_seeded_battery(self, curve, n_users, seed, p_max_w, noise_power_w):
+        params = SystemParams(p_max_w=p_max_w, noise_power_w=noise_power_w)
+        chan = generate_channel_gains(n_users, 1e-10, 1e-8, seed)
+        self.assert_same(
+            solve_method1(chan, curve, params), solve_method1_scalar(chan, curve, params)
+        )
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            SystemParams(p_max_w=1e-9),
+            SystemParams(tau_lo_init=9e9, tau_hi_init=1e10),
+            SystemParams(p0_w_per_load=0.0, m_beta_samples=7),
+        ],
+        ids=["tiny_budget", "infeasible_floor", "free_compression"],
+    )
+    def test_edge_instances(self, curve, default_channel, params):
+        self.assert_same(
+            solve_method1(default_channel, curve, params),
+            solve_method1_scalar(default_channel, curve, params),
+        )
+
+
 # ---------------------------------------------------------------------------
 # fixed-ratio scheme
 # ---------------------------------------------------------------------------
@@ -292,16 +382,16 @@ class TestSolveMethod2:
         best = None
         iters = 0
         for (eta,) in enumerate_eta_vectors(curve, 1):
-            out = bisect_tau(
+            tau, iterations, converged = scalar_bisect_tau(
                 lambda tau: method2_power_sum(chan, curve, params, [eta], tau)
                 <= budget_tol(params),
                 params.tau_lo_init,
                 params.tau_hi_init,
                 params.epsilon,
             )
-            iters += out.iterations
-            if out.converged and (best is None or out.tau_bps > best):
-                best = out.tau_bps
+            iters += iterations
+            if converged and (best is None or tau > best):
+                best = tau
         assert r.tau_bps == best
         assert r.bisection_iterations_total == iters
 
