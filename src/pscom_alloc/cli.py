@@ -34,7 +34,7 @@ from .experiments import (
     run_scenario,
     run_sweep,
 )
-from .model import Method, total_power, validate_curve
+from .model import Method, SolveReport, SystemParams, total_power, validate_curve
 from .solvers import ORACLE_MAX_USERS, solve_method1, solve_method2, solve_oracle
 
 __all__ = ["CliInvocation", "main", "entry"]
@@ -166,6 +166,9 @@ def _parse_invocation(argv) -> CliInvocation:
             raise CliError(f"--values must be a comma-separated number list: {args.values!r}")
     if args.jobs < 1:
         raise CliError("--jobs must be >= 1")
+    grid_points = getattr(args, "grid_points", None)
+    if grid_points is not None and grid_points < 0:
+        raise CliError("--grid-points must be >= 0")
     return CliInvocation(
         subcommand=args.subcommand,
         config_path=config_path,
@@ -175,7 +178,7 @@ def _parse_invocation(argv) -> CliInvocation:
         sweep_values=sweep_values,
         force=args.force,
         jobs=args.jobs,
-        grid_points=getattr(args, "grid_points", None),
+        grid_points=grid_points,
     )
 
 
@@ -215,12 +218,30 @@ def _print_records(records: list[RunRecord], with_sweep: bool) -> None:
         )
 
 
+def _warn_if_capped(label: str, report: SolveReport, params: SystemParams) -> None:
+    """Warn on stderr when a bisected tau reached the top of its bracket.
+
+    There the optimum may lie above ``tau_hi_init`` and the report shows
+    the bracket, not the optimum.
+    """
+    searched = report.method in (Method.METHOD1, Method.METHOD2, Method.ORACLE)
+    if searched and report.feasible and report.tau_bps >= params.tau_hi_init - params.epsilon:
+        print(
+            f"warning: {label} tau={report.tau_bps:.6e} bit/s reached the search "
+            f"bracket's upper end system.tau_hi_init={params.tau_hi_init:.6e}; "
+            "the optimum may lie above it",
+            file=sys.stderr,
+        )
+
+
 def _cmd_solve(inv: CliInvocation) -> int:
     config = _effective_config(inv)
     _guard_enumeration(config, config.channel.user_count, inv.force)
     records = run_scenario(config)
     summary, detail = export_csv(records, inv.output_dir)
     _print_records(records, with_sweep=False)
+    for r in records:
+        _warn_if_capped(r.report.method.value, r.report, config.system)
     print(f"wrote {summary} and {detail}", file=sys.stderr)
     if any(not r.report.feasible for r in records):
         print("at least one scheme found the instance infeasible", file=sys.stderr)
@@ -243,6 +264,8 @@ def _cmd_sweep(inv: CliInvocation) -> int:
     summary, detail = export_csv(records, inv.output_dir)
     plot = emit_plot(records, Path(inv.output_dir) / f"sweep_{sweep.parameter.value}.svg")
     _print_records(records, with_sweep=True)
+    for r in records:
+        _warn_if_capped(f"{r.scenario_id} {r.report.method.value}", r.report, config.system)
     print(f"wrote {summary}, {detail} and {plot}", file=sys.stderr)
     if any(not r.report.feasible for r in records):
         print("at least one scheme found an instance infeasible", file=sys.stderr)
@@ -272,6 +295,10 @@ def _cmd_oracle_check(inv: CliInvocation) -> int:
     print(f"oracle-knots tau={knots_only.tau_bps:.10e} bit/s")
     print(f"oracle - method1 = {fine.tau_bps - r1.tau_bps:.6e} bit/s")
     print(f"oracle - method2 = {fine.tau_bps - r2.tau_bps:.6e} bit/s")
+    for label, report in (
+        ("method1", r1), ("method2", r2), ("oracle", fine), ("oracle-knots", knots_only)
+    ):
+        _warn_if_capped(label, report, params)
 
     eps = params.epsilon
     ok = True

@@ -261,6 +261,14 @@ class SolveReport:
     value for the search-based methods, the minimum achieved rate for the
     closed-form baselines). ``winning_beta`` is populated only by the
     proportional-power method and records the received-power level that won.
+
+    The counts describe the plain search, whatever work was skipped:
+    ``outer_candidates_evaluated`` is the number of outer candidates (beta
+    samples, ratio vectors) and ``bisection_iterations_total`` the sum of the
+    iterations each candidate's bisection runs. The fixed-ratio search prunes
+    candidates that cannot win without bisecting them; each still counts, with
+    the K iterations its bisection is proven to take (zero if infeasible at
+    ``tau_lo_init``).
     """
 
     method: Method

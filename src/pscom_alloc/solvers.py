@@ -21,6 +21,12 @@ one row per candidate (a beta sample, a ratio vector) and advances every row
 in lockstep against a vectorized budget predicate: the method-1 kernel
 ``_method1_power_sums`` or the fixed-ratio kernel ``_fixed_eta_power_sums``.
 
+The fixed-ratio family (method 2, oracle) prunes: a vector is bisected only
+if it fits the budget at the incumbent, the best tau found so far, warm-
+started from the shared-ratio vectors. The rest cannot win or tie, and are
+counted with the iteration count every row's bisection is proven to take,
+so results and reported counts equal those of bisecting every vector.
+
 ``solve_equal_power`` and ``solve_non_semantic`` are the comparison
 baselines, and ``solve_oracle`` densifies the ratio grid for small instances
 to validate the two schemes from below.
@@ -82,6 +88,11 @@ ORACLE_MAX_USERS = 3
 
 # Candidate vectors per numpy batch in the fixed-ratio solvers.
 _CHUNK = 16384
+
+# Smallest batch the fixed-ratio search prunes. Below it a bisection costs
+# mostly per-iteration call overhead, which pruning doubles (warm rows plus
+# survivors) instead of saving.
+_PRUNE_MIN_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -366,42 +377,117 @@ def _comp_power_matrix(
     return loads * params.p0_w_per_load
 
 
+def _path_independent_iterations(lo: float, hi: float, epsilon: float) -> int | None:
+    """Iterations every row feasible at ``lo`` runs in ``bisect_tau``, if fixed.
+
+    Returns K when it can prove that every such row, whatever its threshold,
+    runs exactly K iterations on the bracket [lo, hi] with tolerance epsilon;
+    None when it cannot.
+
+    Proof. Let M = max(|lo|, |hi|); every bound a row holds lies in [lo, hi].
+    A computed midpoint is within 1 ulp(M) of the exact midpoint of the
+    current bounds (the sum rounds by at most 1 ulp(M), halving is exact up
+    to subnormals), so after k halvings the bracket's real width is within
+    2 ulp(M) of the exact D / 2^k, D = hi - lo, on every path, and the
+    computed width ``hi - lo`` adds at most 1 ulp(M). With the margin
+    4 ulp(M): while D / 2^k > epsilon + margin the width test passes, and
+    while D / 2^k > margin the midpoint lies strictly inside the bracket, so
+    no row stops at float resolution; once D / 2^K < epsilon - margin the
+    width test fails. Any exact width within the margin of epsilon, or of
+    the float-resolution stop, leaves K unproven.
+    """
+    big = max(abs(lo), abs(hi))
+    if not 2.0 * big < math.inf:
+        return None  # lo + hi may overflow
+
+    def units(x: float) -> int:  # every float is an integer multiple of 2^-1074
+        num, den = x.as_integer_ratio()
+        return num * ((1 << 1074) // den)
+
+    width = units(hi) - units(lo)
+    eps = units(epsilon)
+    margin = units(4.0 * math.ulp(big))
+    k = 0
+    while width > eps << k:  # exact width after k halvings: width / 2^k
+        if width <= (eps + margin) << k or width <= margin << k:
+            return None
+        k += 1
+    if width >= (eps - margin) << k:
+        return None
+    return k
+
+
 def _best_fixed_eta(
     channel: ChannelState,
     curve: CompLoadCurve,
     params: SystemParams,
+    values: Iterable[float],
     vectors: Iterable[tuple[float, ...]],
 ) -> tuple[tuple[float, tuple[float, ...]] | None, int, int]:
-    """Bisect every ratio vector; return (best, candidates seen, iterations).
+    """Best ratio vector of ``vectors``; return (best, candidates seen, iterations).
 
     ``best`` is (tau, vector) for the highest converged tau, ties resolved
-    toward the earliest vector in enumeration order.
+    toward the earliest vector in enumeration order. The counts are those of
+    bisecting every vector (see ``SolveReport``).
+
+    When ``_path_independent_iterations`` fixes the per-row iteration count
+    K, a batch of at least ``_PRUNE_MIN_ROWS`` vectors bisects only the
+    vectors that fit the budget at the incumbent: the best tau so far,
+    warm-started from the shared-ratio vectors over ``values`` (every
+    caller's enumeration contains them). A row's power sum is monotone in
+    tau in floating point (expm1, positive scaling and addition are), so a
+    row over budget at a tau that some row was tested feasible at bisects to
+    a lower tau and can neither win nor tie. Survivors are bisected as a
+    compacted array; rows never interact, so their taus are the same bits.
+    Every row that fits at ``tau_lo_init`` counts K iterations, as it would
+    have run.
     """
     gains = channel.gains
     budget_tol = params.p_max_w * (1.0 + BUDGET_RTOL)
+    lo, hi, eps = float(params.tau_lo_init), params.tau_hi_init, params.epsilon
+    k_iters = _path_independent_iterations(lo, hi, eps)
+
+    def fits_at(eta_mat: np.ndarray, p_c_mat: np.ndarray, taus: np.ndarray) -> np.ndarray:
+        return _fixed_eta_power_sums(eta_mat, p_c_mat, gains, params, taus) <= budget_tol
+
+    def bisect_rows(eta_mat: np.ndarray, p_c_mat: np.ndarray) -> BisectionOutcome:
+        return bisect_tau(
+            lambda taus: fits_at(eta_mat, p_c_mat, taus), len(eta_mat), lo, hi, eps
+        )
+
+    # a row that fits at lo bisects to at least lo; the incumbent then rises
+    # to the warm tau and to each new best
+    incumbent = lo
+    warm_values = list(values)
     best: tuple[float, tuple[float, ...]] | None = None
     n_seen = 0
     iters_total = 0
     it = iter(vectors)
-    while True:
-        chunk = list(itertools.islice(it, _CHUNK))
-        if not chunk:
-            break
+    while chunk := list(itertools.islice(it, _CHUNK)):
+        n_seen += len(chunk)
         eta_mat = np.array(chunk, dtype=np.float64)
         p_c_mat = _comp_power_matrix(eta_mat, curve, params)
-        outcome = bisect_tau(
-            lambda taus: _fixed_eta_power_sums(eta_mat, p_c_mat, gains, params, taus)
-            <= budget_tol,
-            len(chunk),
-            params.tau_lo_init,
-            params.tau_hi_init,
-            params.epsilon,
-        )
-        n_seen += len(chunk)
-        iters_total += int(outcome.iterations.sum())
+        rows = None
+        if k_iters is not None and len(chunk) >= _PRUNE_MIN_ROWS:
+            if warm_values:
+                warm_mat = np.array([(v,) * channel.n_users for v in warm_values])
+                warm = bisect_rows(warm_mat, _comp_power_matrix(warm_mat, curve, params))
+                warm_values = []
+                k = _best_row(warm)
+                if k is not None:
+                    incumbent = max(incumbent, float(warm.tau_bps[k]))
+            survive = fits_at(eta_mat, p_c_mat, np.full(len(chunk), lo))
+            iters_total += k_iters * int(np.count_nonzero(survive))
+            survive &= fits_at(eta_mat, p_c_mat, np.full(len(chunk), incumbent))
+            rows = np.flatnonzero(survive)
+            eta_mat, p_c_mat = eta_mat[rows], p_c_mat[rows]
+        outcome = bisect_rows(eta_mat, p_c_mat)
+        if rows is None:
+            iters_total += int(outcome.iterations.sum())
         k = _best_row(outcome)
         if k is not None and (best is None or outcome.tau_bps[k] > best[0]):
-            best = (float(outcome.tau_bps[k]), chunk[k])
+            best = (float(outcome.tau_bps[k]), chunk[k if rows is None else rows[k]])
+            incumbent = max(incumbent, best[0])
     return best, n_seen, iters_total
 
 
@@ -410,9 +496,10 @@ def _fixed_eta_report(
     channel: ChannelState,
     curve: CompLoadCurve,
     params: SystemParams,
+    values: Iterable[float],
     vectors: Iterable[tuple[float, ...]],
 ) -> SolveReport:
-    best, n_seen, iters_total = _best_fixed_eta(channel, curve, params, vectors)
+    best, n_seen, iters_total = _best_fixed_eta(channel, curve, params, values, vectors)
     if best is None:
         return SolveReport(
             method=method,
@@ -450,7 +537,8 @@ def solve_method2(
     remaining max-min power allocation is solved exactly (to epsilon) by
     bisecting tau against the budget: equalizing every user's rate is
     optimal there. ``shared_eta=True`` restricts the search to one common
-    ratio for all users instead of the full Cartesian product.
+    ratio for all users instead of the full Cartesian product. Vectors that
+    cannot win are not bisected; the result is that of bisecting them all.
     """
     if shared_eta:
         vectors: Iterable[tuple[float, ...]] = (
@@ -458,7 +546,9 @@ def solve_method2(
         )
     else:
         vectors = enumerate_eta_vectors(curve, channel.n_users)
-    return _fixed_eta_report(Method.METHOD2, channel, curve, params, vectors)
+    return _fixed_eta_report(
+        Method.METHOD2, channel, curve, params, curve.candidate_etas, vectors
+    )
 
 
 def _oracle_candidates(
@@ -499,7 +589,7 @@ def solve_oracle(
         raise ValueError("grid_points_per_segment must be non-negative")
     cands = _oracle_candidates(curve, grid_points_per_segment)
     vectors = itertools.product(cands, repeat=channel.n_users)
-    return _fixed_eta_report(Method.ORACLE, channel, curve, params, vectors)
+    return _fixed_eta_report(Method.ORACLE, channel, curve, params, cands, vectors)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,17 @@
-"""Scalar reference for the proportional-power scheme.
+"""Straightforward references for the search schemes.
 
-One Python-float bisection per beta sample, with a user-by-user power sum:
-the straightforward form of method 1. The package runs the same search as
-numpy rows in lockstep; tests compare the two bit for bit.
+* Method 1: one Python-float bisection per beta sample, with a user-by-user
+  power sum. The package runs the same search as numpy rows in lockstep.
+* The fixed-ratio family (method 2, oracle): every ratio vector is bisected,
+  none pruned. The package bisects only the vectors that can still win.
+
+Tests compare each reference with the package bit for bit.
 """
 
+import itertools
 import math
+
+import numpy as np
 
 from pscom_alloc import (
     BUDGET_RTOL,
@@ -13,10 +19,13 @@ from pscom_alloc import (
     SolveReport,
     beta_grid,
     beta_range,
+    bisect_tau,
     channel_capacity,
     derive_allocation,
+    p_t_from_tau,
 )
 from pscom_alloc.model import zero_allocation
+from pscom_alloc.solvers import _CHUNK, _best_row, _comp_power_matrix, _fixed_eta_power_sums
 
 
 def scalar_bisect_tau(feasible_at, lo, hi, epsilon):
@@ -101,4 +110,60 @@ def solve_method1_scalar(channel, curve, params):
         outer_candidates_evaluated=len(betas),
         bisection_iterations_total=iters_total,
         winning_beta=beta,
+    )
+
+
+def solve_fixed_eta_exhaustive(method, channel, curve, params, vectors):
+    """Fixed-ratio search that bisects every vector, in chunks of ``_CHUNK``.
+
+    The best tau wins, ties toward the earliest vector; the counts are those
+    of every vector's bisection.
+    """
+    gains = channel.gains
+    budget_tol = params.p_max_w * (1.0 + BUDGET_RTOL)
+    best = None
+    n_seen = 0
+    iters_total = 0
+    it = iter(vectors)
+    while True:
+        chunk = list(itertools.islice(it, _CHUNK))
+        if not chunk:
+            break
+        eta_mat = np.array(chunk, dtype=np.float64)
+        p_c_mat = _comp_power_matrix(eta_mat, curve, params)
+        outcome = bisect_tau(
+            lambda taus: _fixed_eta_power_sums(eta_mat, p_c_mat, gains, params, taus)
+            <= budget_tol,
+            len(chunk),
+            params.tau_lo_init,
+            params.tau_hi_init,
+            params.epsilon,
+        )
+        n_seen += len(chunk)
+        iters_total += int(outcome.iterations.sum())
+        k = _best_row(outcome)
+        if k is not None and (best is None or outcome.tau_bps[k] > best[0]):
+            best = (float(outcome.tau_bps[k]), chunk[k])
+    if best is None:
+        return SolveReport(
+            method=method,
+            tau_bps=0.0,
+            allocation=zero_allocation(channel.n_users),
+            feasible=False,
+            outer_candidates_evaluated=n_seen,
+            bisection_iterations_total=iters_total,
+        )
+    tau, eta_vec = best
+    p_t = [
+        p_t_from_tau(tau, eta_vec[n], float(channel.gains[n]), params)
+        for n in range(channel.n_users)
+    ]
+    alloc = derive_allocation(eta_vec, p_t, channel, curve, params)
+    return SolveReport(
+        method=method,
+        tau_bps=tau,
+        allocation=alloc,
+        feasible=True,
+        outer_candidates_evaluated=n_seen,
+        bisection_iterations_total=iters_total,
     )

@@ -132,6 +132,22 @@ class TestSolveCommand:
         over = method1_power_sum(chan, curve, zero, report.winning_beta, tau + 10 * zero.epsilon)
         assert at <= tol < over
 
+    def test_capped_bracket_warns(self, config_path, tmp_path, capsys):
+        # the optimum lies above tau_hi_init: both search schemes report the
+        # bracket's top, which only the stderr warning points out
+        cfg = default_scenario_config()
+        capped = dataclasses.replace(cfg.system, tau_hi_init=1e8)
+        path = _write_config(tmp_path, dataclasses.replace(cfg, system=capped), "capped.json")
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "c")]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert "method1      tau=1.000000e+08" in out
+        assert "warning" not in out
+        for label in ("method1", "method2"):
+            assert f"warning: {label} tau=1.000000e+08 bit/s" in err
+        assert err.count("system.tau_hi_init=1.000000e+08") == 2
+        assert main(["solve", "--config", str(config_path), "--out", str(tmp_path / "d")]) == EXIT_OK
+        assert "warning" not in capsys.readouterr().err
+
     def test_io_failure(self, config_path, tmp_path, capsys):
         blocker = tmp_path / "blocked"
         blocker.write_text("file, not a directory")
@@ -257,6 +273,11 @@ class TestArgumentHandling:
     def test_bad_jobs(self, config_path, capsys):
         code = main(["solve", "--config", str(config_path), "--jobs", "0"])
         assert code == EXIT_CONFIG
+
+    def test_negative_grid_points(self, config_path, capsys):
+        code = main(["oracle-check", "--config", str(config_path), "--grid-points", "-1"])
+        assert code == EXIT_CONFIG
+        assert "--grid-points must be >= 0" in capsys.readouterr().err
 
     def test_exit_codes_are_distinct_contract(self):
         assert (EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_IO, EXIT_ORACLE) == (

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import time
 
@@ -30,9 +31,13 @@ from pscom_alloc import (
     solve_oracle,
     validate_curve,
 )
-from pscom_alloc.solvers import _method1_power_sums
+from pscom_alloc.solvers import (
+    _method1_power_sums,
+    _oracle_candidates,
+    _path_independent_iterations,
+)
 
-from scalar_reference import scalar_bisect_tau, solve_method1_scalar
+from scalar_reference import scalar_bisect_tau, solve_fixed_eta_exhaustive, solve_method1_scalar
 
 NON_SEMANTIC_2USER = 1e7 * math.log2(4001)  # h=[1e-9,2e-9], P=6, B=1e7, s2=1e-12
 
@@ -201,6 +206,42 @@ class TestBisectTau:
         assert out.tau_bps[1] == lo and out.iterations[1] == 0
         assert out.tau_bps[2] == 3e14
         assert np.nextafter(3e14, math.inf) - 3e14 > eps
+
+
+class TestPathIndependentIterations:
+    """The helper that lets the fixed-ratio search count pruned rows."""
+
+    def test_stock_bracket(self):
+        assert _path_independent_iterations(1e-3, 1e10, 1e-4) == 47
+        assert _path_independent_iterations(0.0, 1e10, 1e-4) == 47
+
+    def test_width_exactly_at_epsilon_is_unproven(self):
+        # [0, 1] halves to exactly 0.25 after two steps; rounding decides
+        assert _path_independent_iterations(0.0, 1.0, 0.25) is None
+
+    def test_epsilon_below_float_resolution_is_unproven(self):
+        # rows stop when no float lies inside the bracket, at a step that
+        # depends on where they converge
+        assert _path_independent_iterations(1e-3, 1e10, 1e-9) is None
+        assert _path_independent_iterations(1.0, 2.0, 1e-17) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lo=st.floats(-1e6, 1e6),
+        width=st.floats(1e-6, 1e12),
+        halvings=st.floats(-2.0, 60.0),
+        fractions=st.lists(st.floats(-0.1, 1.1), min_size=1, max_size=16),
+    )
+    def test_every_converged_row_runs_k_iterations(self, lo, width, halvings, fractions):
+        hi = lo + width
+        epsilon = width * 2.0**-halvings
+        k = _path_independent_iterations(lo, hi, epsilon)
+        if k is None:
+            return
+        thresholds = np.array([lo + f * (hi - lo) for f in fractions] + [lo, hi])
+        out = bisect_tau(lambda t: t <= thresholds, len(thresholds), lo, hi, epsilon)
+        assert out.converged[-2] and out.converged[-1]
+        assert np.all(out.iterations[out.converged] == k)
 
 
 class TestCandidateEnumeration:
@@ -422,6 +463,81 @@ class TestSolveMethod2:
             method2_power_sum(two_user_channel, curve, params, [0.5], 1e7)
         with pytest.raises(ValueError):
             method2_power_sum(two_user_channel, curve, params, [0.5, 0.1], 1e7)
+
+
+class TestFixedEtaMatchesExhaustiveReference:
+    """Pruned search reports exactly what bisecting every vector reports."""
+
+    @staticmethod
+    def assert_same(a, b):
+        for field in dataclasses.fields(a):
+            if field.name != "allocation":
+                assert getattr(a, field.name) == getattr(b, field.name), field.name
+        assert a.allocation.tau_bps == b.allocation.tau_bps
+        for field in ("eta", "p_t_w", "p_c_w", "rates_bps"):
+            assert np.array_equal(getattr(a.allocation, field), getattr(b.allocation, field))
+
+    def check_method2(self, chan, curve, params, shared_eta=False):
+        if shared_eta:
+            vectors = [(v,) * chan.n_users for v in curve.candidate_etas]
+        else:
+            vectors = enumerate_eta_vectors(curve, chan.n_users)
+        self.assert_same(
+            solve_method2(chan, curve, params, shared_eta=shared_eta),
+            solve_fixed_eta_exhaustive(Method.METHOD2, chan, curve, params, vectors),
+        )
+
+    @pytest.mark.parametrize(
+        "n_users, seed, p_max_w, noise_power_w",
+        [
+            (n, *case)
+            for n in range(1, 8)
+            for case in [(3, 6.0, 1e-12), (8, 3.0, 1e-13), (11, 6.0, 1e-11)][: 2 if n == 7 else 3]
+        ],
+    )
+    def test_method2_battery(self, curve, n_users, seed, p_max_w, noise_power_w):
+        params = SystemParams(p_max_w=p_max_w, noise_power_w=noise_power_w)
+        self.check_method2(generate_channel_gains(n_users, 1e-10, 1e-8, seed), curve, params)
+
+    @pytest.mark.parametrize("n_users", [3, 7])
+    def test_method2_shared_eta(self, curve, params, n_users):
+        chan = generate_channel_gains(n_users, 1e-10, 1e-8, 3)
+        self.check_method2(chan, curve, params, shared_eta=True)
+
+    @pytest.mark.parametrize("n_users", [1, 2, 3])
+    def test_oracle(self, curve, params, n_users):
+        chan = generate_channel_gains(n_users, 1e-10, 1e-8, 42)
+        cands = _oracle_candidates(curve, 3)
+        self.assert_same(
+            solve_oracle(chan, curve, params, 3),
+            solve_fixed_eta_exhaustive(
+                Method.ORACLE, chan, curve, params, itertools.product(cands, repeat=n_users)
+            ),
+        )
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            SystemParams(),
+            # the bracket caps 182 vectors at one tau; the earliest must win
+            SystemParams(tau_hi_init=1.6e8),
+        ],
+        ids=["stock", "capped_ties"],
+    )
+    def test_equal_gains(self, curve, params):
+        self.check_method2(ChannelState(np.full(5, 1e-9)), curve, params)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            SystemParams(tau_lo_init=0.0),
+            SystemParams(tau_hi_init=1e8),
+            SystemParams(epsilon=1e-9),  # count unproven: nothing is pruned
+        ],
+        ids=["zero_lower_bound", "capped_bracket", "tiny_epsilon"],
+    )
+    def test_bracket_edges(self, curve, params):
+        self.check_method2(generate_channel_gains(5, 1e-10, 1e-8, 3), curve, params)
 
 
 # ---------------------------------------------------------------------------
