@@ -22,7 +22,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 from xml.sax.saxutils import escape
@@ -90,7 +90,10 @@ class ConfigError(ValueError):
 
 
 def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+    try:
+        return 10.0 ** ((dbm - 30.0) / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def watts_to_dbm(watts: float) -> float:
@@ -171,6 +174,8 @@ class SweepSpec:
         vals = self.values
         if not vals:
             raise ValueError("sweep values must not be empty")
+        if not all(math.isfinite(v) for v in vals):
+            raise ValueError("sweep values must be finite")
         if len(vals) > 1:
             increasing = all(b > a for a, b in zip(vals, vals[1:]))
             decreasing = all(b < a for a, b in zip(vals, vals[1:]))
@@ -188,18 +193,8 @@ class SweepSpec:
 # Config parsing
 # ---------------------------------------------------------------------------
 
-_SYSTEM_KEYS = {
-    "bandwidth_hz",
-    "noise_power_w",
-    "noise_power_dbm",
-    "p_max_w",
-    "p0_w_per_load",
-    "epsilon",
-    "m_beta_samples",
-    "tau_lo_init",
-    "tau_hi_init",
-}
-_CHANNEL_KEYS = {"gains", "n_users", "gain_min", "gain_max", "seed"}
+_SYSTEM_KEYS = {f.name for f in fields(SystemParams)} | {"noise_power_dbm"}
+_CHANNEL_KEYS = {f.name for f in fields(ChannelSpec)}
 _TOP_KEYS = {"system", "channel", "curve", "methods", "oracle_grid_points", "method2_shared_eta"}
 
 
@@ -212,7 +207,14 @@ def _require_mapping(obj, path: str) -> dict:
 def _number(obj, path: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {type(obj).__name__}")
-    return float(obj)
+    # json.loads accepts Infinity, NaN and integers too large for a float
+    try:
+        value = float(obj)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: expected a finite number")
+    return value
 
 
 def _integer(obj, path: str) -> int:
@@ -228,18 +230,14 @@ def _parse_system(raw: dict) -> SystemParams:
     if "noise_power_w" in raw and "noise_power_dbm" in raw:
         raise ConfigError("system.noise_power_dbm: give either watts or dBm, not both")
     kwargs = {}
-    for key in ("bandwidth_hz", "p_max_w", "p0_w_per_load", "epsilon",
-                "tau_lo_init", "tau_hi_init"):
-        if key in raw:
-            kwargs[key] = _number(raw[key], f"system.{key}")
-    if "noise_power_w" in raw:
-        kwargs["noise_power_w"] = _number(raw["noise_power_w"], "system.noise_power_w")
-    elif "noise_power_dbm" in raw:
+    for f in fields(SystemParams):
+        if f.name in raw:
+            parse = _integer if f.name == "m_beta_samples" else _number
+            kwargs[f.name] = parse(raw[f.name], f"system.{f.name}")
+    if "noise_power_dbm" in raw:
         kwargs["noise_power_w"] = dbm_to_watts(
             _number(raw["noise_power_dbm"], "system.noise_power_dbm")
         )
-    if "m_beta_samples" in raw:
-        kwargs["m_beta_samples"] = _integer(raw["m_beta_samples"], "system.m_beta_samples")
     try:
         return SystemParams(**kwargs)
     except ValueError as exc:
@@ -362,27 +360,9 @@ def parse_scenario_config(text: str) -> ScenarioConfig:
 
 def serialize_scenario_config(config: ScenarioConfig) -> str:
     """Inverse of :func:`parse_scenario_config` (noise emitted in watts)."""
-    sys_d = {
-        "bandwidth_hz": config.system.bandwidth_hz,
-        "noise_power_w": config.system.noise_power_w,
-        "p_max_w": config.system.p_max_w,
-        "p0_w_per_load": config.system.p0_w_per_load,
-        "epsilon": config.system.epsilon,
-        "m_beta_samples": config.system.m_beta_samples,
-        "tau_lo_init": config.system.tau_lo_init,
-        "tau_hi_init": config.system.tau_hi_init,
-    }
-    if config.channel.gains is not None:
-        chan_d: dict = {"gains": list(config.channel.gains)}
-    else:
-        chan_d = {
-            "n_users": config.channel.n_users,
-            "gain_min": config.channel.gain_min,
-            "gain_max": config.channel.gain_max,
-            "seed": config.channel.seed,
-        }
+    chan_d = {k: v for k, v in asdict(config.channel).items() if v is not None}
     doc = {
-        "system": sys_d,
+        "system": asdict(config.system),
         "channel": chan_d,
         "curve": {"knots": [list(k) for k in config.curve_knots]},
         "methods": [m.value for m in config.methods],

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -102,8 +102,9 @@ class SystemParams:
             raise ValueError("m_beta_samples must be an integer >= 2")
         if not 0 <= self.tau_lo_init < self.tau_hi_init:
             raise ValueError("require 0 <= tau_lo_init < tau_hi_init")
-        if not math.isfinite(self.tau_hi_init):
-            raise ValueError("tau_hi_init must be finite")
+        for f in fields(self):
+            if f.name != "m_beta_samples" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
 
 
 @dataclass(frozen=True, eq=False)

@@ -178,6 +178,15 @@ class TestSweepCommand:
         assert code == EXIT_CONFIG
         assert "monotone" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("param", ["pmax", "users", "noise"])
+    def test_non_finite_values_rejected(self, config_path, tmp_path, capsys, param):
+        code = main(
+            ["sweep", "--config", str(config_path), "--out", str(tmp_path / "o"),
+             "--param", param, "--values", "inf"]
+        )
+        assert code == EXIT_CONFIG
+        assert "sweep: sweep values must be finite" in capsys.readouterr().err
+
     def test_bad_values_list(self, config_path, tmp_path, capsys):
         code = main(
             ["sweep", "--config", str(config_path), "--param", "pmax",
@@ -233,6 +242,25 @@ class TestOracleCheckCommand:
         out = capsys.readouterr().out
         assert "oracle-check: OK" in out
         assert "method1" in out and "method2" in out and "oracle" in out
+
+    def test_shared_eta_method2_is_not_held_to_the_knot_product(self, tmp_path, capsys):
+        # shared-eta method 2 searches 5 common-ratio vectors; the knots-only
+        # oracle searches all 25 and here finds a better mixed vector
+        cfg = dataclasses.replace(
+            default_scenario_config(),
+            system=dataclasses.replace(default_scenario_config().system, p_max_w=7.6),
+            channel=ChannelSpec(gains=(5.65351413e-08, 5.25772738e-12)),
+            method2_shared_eta=True,
+        )
+        path = _write_config(tmp_path, cfg)
+        code = main(["oracle-check", "--config", str(path), "--grid-points", "2"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_OK
+        assert "oracle-check: OK" in out
+        assert "violation" not in err
+        # the same instance with the full knot product passes the equality check
+        path = _write_config(tmp_path, dataclasses.replace(cfg, method2_shared_eta=False))
+        assert main(["oracle-check", "--config", str(path), "--grid-points", "2"]) == EXIT_OK
 
     def test_user_cap(self, tmp_path, capsys):
         cfg = dataclasses.replace(

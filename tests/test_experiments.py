@@ -40,6 +40,61 @@ TWO_USER_CONFIG = """
 """
 
 
+# serialize_scenario_config(default_scenario_config()), byte for byte
+DEFAULT_CONFIG_JSON = """\
+{
+  "channel": {
+    "gain_max": 1e-08,
+    "gain_min": 1e-10,
+    "n_users": 3,
+    "seed": 42
+  },
+  "curve": {
+    "knots": [
+      [
+        1.0,
+        0.0
+      ],
+      [
+        0.8,
+        100.0
+      ],
+      [
+        0.6,
+        300.0
+      ],
+      [
+        0.4,
+        700.0
+      ],
+      [
+        0.2,
+        1500.0
+      ]
+    ]
+  },
+  "method2_shared_eta": false,
+  "methods": [
+    "method1",
+    "method2",
+    "equal_power",
+    "non_semantic"
+  ],
+  "oracle_grid_points": 25,
+  "system": {
+    "bandwidth_hz": 10000000.0,
+    "epsilon": 0.0001,
+    "m_beta_samples": 500,
+    "noise_power_w": 1e-12,
+    "p0_w_per_load": 0.001,
+    "p_max_w": 6.0,
+    "tau_hi_init": 10000000000.0,
+    "tau_lo_init": 0.001
+  }
+}
+"""
+
+
 # ---------------------------------------------------------------------------
 # config parsing
 # ---------------------------------------------------------------------------
@@ -60,8 +115,26 @@ class TestConfigParsing:
         assert watts_to_dbm(1e-12) == pytest.approx(-90.0, abs=1e-9)
 
     def test_round_trip(self):
-        for cfg in (parse_scenario_config(TWO_USER_CONFIG), default_scenario_config()):
+        explicit = dataclasses.replace(
+            default_scenario_config(),
+            system=SystemParams(p_max_w=7.6, m_beta_samples=64, tau_hi_init=1e9),
+            channel=ChannelSpec(gains=(5.65351413e-08, 5.25772738e-12, 1e-9)),
+            method2_shared_eta=True,
+        )
+        dbm = parse_scenario_config(
+            TWO_USER_CONFIG.replace('"noise_power_w": 1e-12', '"noise_power_dbm": -85')
+        )
+        for cfg in (
+            parse_scenario_config(TWO_USER_CONFIG),
+            default_scenario_config(),
+            explicit,
+            dbm,
+        ):
             assert parse_scenario_config(serialize_scenario_config(cfg)) == cfg
+
+    def test_serialized_default_bytes(self):
+        # the serialized form is a contract: key set, order and number format
+        assert serialize_scenario_config(default_scenario_config()) == DEFAULT_CONFIG_JSON
 
     @pytest.mark.parametrize(
         "mutate,path_fragment",
@@ -79,6 +152,14 @@ class TestConfigParsing:
             (lambda d: d.update(curve={"knots": [[1.0, 0.0], ["x", 1.0]]}), "curve.knots[1]"),
             (lambda d: d.update(oracle_grid_points=-1), "oracle_grid_points"),
             (lambda d: d.update(stray=True), "stray"),
+            (lambda d: d["system"].update(p_max_w=math.inf), "system.p_max_w"),
+            (lambda d: d["system"].update(bandwidth_hz=math.inf), "system.bandwidth_hz"),
+            (lambda d: d["system"].update(p0_w_per_load=math.nan), "system.p0_w_per_load"),
+            (lambda d: d["system"].update(p_max_w=10**400), "system.p_max_w"),
+            (lambda d: d["system"].update(noise_power_w=-math.inf), "system.noise_power_w"),
+            (lambda d: d.update(system={"noise_power_dbm": 1e6}), "noise_power_w must be finite"),
+            (lambda d: d["channel"].update(gains=[1e-9, math.inf]), "channel.gains[1]"),
+            (lambda d: d["curve"]["knots"][1].__setitem__(1, math.nan), "curve.knots[1][1]"),
         ],
     )
     def test_field_path_errors(self, mutate, path_fragment):
@@ -175,6 +256,11 @@ class TestSweeps:
             SweepSpec(SweepParam.USERS, (2.0, 2.5))
         with pytest.raises(ValueError):
             SweepSpec(SweepParam.PMAX, (0.0, 1.0))
+        for param in SweepParam:
+            with pytest.raises(ValueError, match="finite"):
+                SweepSpec(param, (math.inf,))
+            with pytest.raises(ValueError, match="finite"):
+                SweepSpec(param, (math.nan,))
         SweepSpec(SweepParam.NOISE, (-80.0, -90.0, -100.0))  # decreasing is fine
 
     def test_apply_pmax_and_noise(self):

@@ -308,6 +308,12 @@ class TestParamsValidation:
             {"tau_lo_init": 2.0, "tau_hi_init": 1.0},
             {"tau_lo_init": -1.0},
             {"tau_hi_init": math.inf},
+            {"bandwidth_hz": math.inf},
+            {"noise_power_w": math.inf},
+            {"p_max_w": math.inf},
+            {"p0_w_per_load": math.nan},
+            {"p0_w_per_load": math.inf},
+            {"epsilon": math.inf},
         ],
     )
     def test_bad_params_rejected(self, kwargs):

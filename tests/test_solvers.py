@@ -464,6 +464,32 @@ class TestSolveMethod2:
         with pytest.raises(ValueError):
             method2_power_sum(two_user_channel, curve, params, [0.5, 0.1], 1e7)
 
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(
+        budget=st.floats(min_value=0.5, max_value=10.0),
+        extra=st.floats(min_value=0.0, max_value=10.0),
+        n_users=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_tau_monotone_in_budget(self, curve, budget, extra, n_users, seed):
+        chan = generate_channel_gains(n_users, 1e-10, 1e-8, seed)
+        small = SystemParams(p_max_w=budget)
+        large = SystemParams(p_max_w=budget + extra)
+        tau_small = solve_method2(chan, curve, small).tau_bps
+        tau_large = solve_method2(chan, curve, large).tau_bps
+        assert tau_large >= tau_small - small.epsilon
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(scale=st.floats(min_value=1e-3, max_value=1e3))
+    def test_scale_invariance(self, params, curve, two_user_channel, scale):
+        scaled_chan = ChannelState(two_user_channel.gains * scale)
+        scaled_params = dataclasses.replace(
+            params, noise_power_w=params.noise_power_w * scale
+        )
+        a = solve_method2(two_user_channel, curve, params).tau_bps
+        b = solve_method2(scaled_chan, curve, scaled_params).tau_bps
+        assert b == pytest.approx(a, rel=1e-9)
+
 
 class TestFixedEtaMatchesExhaustiveReference:
     """Pruned search reports exactly what bisecting every vector reports."""
