@@ -187,6 +187,9 @@ class SweepSpec:
         if self.parameter is SweepParam.PMAX:
             if any(not v > 0 for v in vals):
                 raise ValueError("power sweep values must be positive")
+        if self.parameter is SweepParam.NOISE:
+            if any(not 0 < dbm_to_watts(v) < math.inf for v in vals):
+                raise ValueError("noise sweep values must give a finite positive power in watts")
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,11 @@ one row per candidate (a beta sample, a ratio vector) and advances every row
 in lockstep against a vectorized budget predicate: the method-1 kernel
 ``_method1_power_sums`` or the fixed-ratio kernel ``_fixed_eta_power_sums``.
 
-The fixed-ratio family (method 2, oracle) prunes: a vector is bisected only
-if it fits the budget at the incumbent, the best tau found so far, warm-
-started from the shared-ratio vectors. The rest cannot win or tie, and are
-counted with the iteration count every row's bisection is proven to take,
-so results and reported counts equal those of bisecting every vector.
+The fixed-ratio family (method 2, oracle) walks knot-index batches and
+prunes: a vector is bisected only if a per-(ratio, user) power table at the
+incumbent, the best tau so far (warm-started from the shared-ratio vectors),
+says it fits the budget. The rest cannot win or tie and count the iterations
+every bisection is proven to take: results and counts are those of bisecting all.
 
 ``solve_equal_power`` and ``solve_non_semantic`` are the comparison
 baselines, and ``solve_oracle`` densifies the ratio grid for small instances
@@ -325,6 +325,24 @@ def solve_method1(
 # ---------------------------------------------------------------------------
 
 
+def _fixed_eta_power_terms(
+    eta_mat: np.ndarray,
+    p_c_mat: np.ndarray,
+    gains: np.ndarray,
+    params: SystemParams,
+    taus: np.ndarray,
+) -> np.ndarray:
+    """Per-user total power for ratio vectors eta_mat at per-row targets taus.
+
+    Transmit powers invert the equal-rate condition; overflow saturates to +inf
+    (callers silence it). A ratio column gives a per-(ratio, user) table.
+    """
+    exponent = taus[:, None] * eta_mat / params.bandwidth_hz
+    growth = np.expm1(exponent * _LN2)
+    p_t = growth * params.noise_power_w / gains[None, :]
+    return p_t + p_c_mat
+
+
 def _fixed_eta_power_sums(
     eta_mat: np.ndarray,
     p_c_mat: np.ndarray,
@@ -332,16 +350,9 @@ def _fixed_eta_power_sums(
     params: SystemParams,
     taus: np.ndarray,
 ) -> np.ndarray:
-    """Row-wise total power for ratio vectors eta_mat at per-row targets taus.
-
-    Transmit powers invert the equal-rate condition per user; overflow
-    saturates to +inf, marking the row infeasible at that tau.
-    """
+    """Row-wise total power for ratio vectors eta_mat at per-row targets taus."""
     with np.errstate(over="ignore"):
-        exponent = taus[:, None] * eta_mat / params.bandwidth_hz
-        growth = np.expm1(exponent * _LN2)
-        p_t = growth * params.noise_power_w / gains[None, :]
-        return np.sum(p_t + p_c_mat, axis=1)
+        return np.sum(_fixed_eta_power_terms(eta_mat, p_c_mat, gains, params, taus), axis=1)
 
 
 def method2_power_sum(
@@ -417,109 +428,105 @@ def _path_independent_iterations(lo: float, hi: float, epsilon: float) -> int | 
     return k
 
 
-def _best_fixed_eta(
-    channel: ChannelState,
-    curve: CompLoadCurve,
-    params: SystemParams,
-    values: Iterable[float],
-    vectors: Iterable[tuple[float, ...]],
-) -> tuple[tuple[float, tuple[float, ...]] | None, int, int]:
-    """Best ratio vector of ``vectors``; return (best, candidates seen, iterations).
+def _index_batches(base: int, n_users: int, shared: bool) -> Iterator[np.ndarray]:
+    """Knot-index matrices of the candidate vectors, ``_CHUNK`` rows each.
 
-    ``best`` is (tau, vector) for the highest converged tau, ties resolved
-    toward the earliest vector in enumeration order. The counts are those of
-    bisecting every vector (see ``SolveReport``).
-
-    When ``_path_independent_iterations`` fixes the per-row iteration count
-    K, a batch of at least ``_PRUNE_MIN_ROWS`` vectors bisects only the
-    vectors that fit the budget at the incumbent: the best tau so far,
-    warm-started from the shared-ratio vectors over ``values`` (every
-    caller's enumeration contains them). A row's power sum is monotone in
-    tau in floating point (expm1, positive scaling and addition are), so a
-    row over budget at a tau that some row was tested feasible at bisects to
-    a lower tau and can neither win nor tie. Survivors are bisected as a
-    compacted array; rows never interact, so their taus are the same bits.
-    Every row that fits at ``tau_lo_init`` counts K iterations, as it would
-    have run.
+    Row r holds the base-``base`` digits of r, most significant first: the
+    order of ``itertools.product(range(base), repeat=n_users)``. With
+    ``shared``, row i is (i, ..., i).
     """
-    gains = channel.gains
-    budget_tol = params.p_max_w * (1.0 + BUDGET_RTOL)
-    lo, hi, eps = float(params.tau_lo_init), params.tau_hi_init, params.epsilon
-    k_iters = _path_independent_iterations(lo, hi, eps)
-
-    def fits_at(eta_mat: np.ndarray, p_c_mat: np.ndarray, taus: np.ndarray) -> np.ndarray:
-        return _fixed_eta_power_sums(eta_mat, p_c_mat, gains, params, taus) <= budget_tol
-
-    def bisect_rows(eta_mat: np.ndarray, p_c_mat: np.ndarray) -> BisectionOutcome:
-        return bisect_tau(
-            lambda taus: fits_at(eta_mat, p_c_mat, taus), len(eta_mat), lo, hi, eps
-        )
-
-    # a row that fits at lo bisects to at least lo; the incumbent then rises
-    # to the warm tau and to each new best
-    incumbent = lo
-    warm_values = list(values)
-    best: tuple[float, tuple[float, ...]] | None = None
-    n_seen = 0
-    iters_total = 0
-    it = iter(vectors)
-    while chunk := list(itertools.islice(it, _CHUNK)):
-        n_seen += len(chunk)
-        eta_mat = np.array(chunk, dtype=np.float64)
-        p_c_mat = _comp_power_matrix(eta_mat, curve, params)
-        rows = None
-        if k_iters is not None and len(chunk) >= _PRUNE_MIN_ROWS:
-            if warm_values:
-                warm_mat = np.array([(v,) * channel.n_users for v in warm_values])
-                warm = bisect_rows(warm_mat, _comp_power_matrix(warm_mat, curve, params))
-                warm_values = []
-                k = _best_row(warm)
-                if k is not None:
-                    incumbent = max(incumbent, float(warm.tau_bps[k]))
-            survive = fits_at(eta_mat, p_c_mat, np.full(len(chunk), lo))
-            iters_total += k_iters * int(np.count_nonzero(survive))
-            survive &= fits_at(eta_mat, p_c_mat, np.full(len(chunk), incumbent))
-            rows = np.flatnonzero(survive)
-            eta_mat, p_c_mat = eta_mat[rows], p_c_mat[rows]
-        outcome = bisect_rows(eta_mat, p_c_mat)
-        if rows is None:
-            iters_total += int(outcome.iterations.sum())
-        k = _best_row(outcome)
-        if k is not None and (best is None or outcome.tau_bps[k] > best[0]):
-            best = (float(outcome.tau_bps[k]), chunk[k if rows is None else rows[k]])
-            incumbent = max(incumbent, best[0])
-    return best, n_seen, iters_total
+    total = base if shared else base**n_users
+    for start in range(0, total, _CHUNK):
+        rem = np.arange(start, min(start + _CHUNK, total))
+        if shared:
+            yield np.repeat(rem[:, None], n_users, axis=1)
+            continue
+        idx = np.empty((len(rem), n_users), dtype=np.int64)
+        for col in range(n_users - 1, -1, -1):
+            rem, idx[:, col] = np.divmod(rem, base)
+        yield idx
 
 
-def _fixed_eta_report(
+def _best_fixed_eta(
     method: Method,
     channel: ChannelState,
     curve: CompLoadCurve,
     params: SystemParams,
     values: Iterable[float],
-    vectors: Iterable[tuple[float, ...]],
+    shared: bool,
 ) -> SolveReport:
-    best, n_seen, iters_total = _best_fixed_eta(channel, curve, params, values, vectors)
-    if best is None:
-        return SolveReport(
-            method=method,
-            tau_bps=0.0,
-            allocation=zero_allocation(channel.n_users),
-            feasible=False,
-            outer_candidates_evaluated=n_seen,
-            bisection_iterations_total=iters_total,
+    """Search all ratio vectors over ``values`` (``shared``: one common ratio).
+
+    Walks the batches of ``_index_batches``; the highest converged tau wins,
+    ties toward the earliest vector. The counts are those of bisecting every
+    vector (see ``SolveReport``).
+
+    When ``_path_independent_iterations`` fixes the per-row iteration count
+    K, a batch of at least ``_PRUNE_MIN_ROWS`` vectors bisects only the
+    vectors that fit the budget at the incumbent: the best tau so far,
+    warm-started from the shared-ratio vectors. A row's power sum is
+    monotone in tau in floating point, so a row over budget at a tau some
+    row was tested feasible at can neither win nor tie. Both tests sum a
+    row's entries of a per-(ratio, user) ``_fixed_eta_power_terms`` table
+    at one tau as ``_fixed_eta_power_sums`` does: the bisection's bits.
+    Every row that fits at ``tau_lo_init`` counts K, as it would have run.
+    """
+    n = channel.n_users
+    gains = channel.gains
+    budget_tol = params.p_max_w * (1.0 + BUDGET_RTOL)
+    lo, hi, eps = float(params.tau_lo_init), params.tau_hi_init, params.epsilon
+    k_iters = _path_independent_iterations(lo, hi, eps)
+    values = np.array(values, dtype=np.float64)
+    p_c = _comp_power_matrix(values, curve, params)
+
+    def fits_at(tau: float, idx: np.ndarray) -> np.ndarray:
+        taus = np.full(len(values), tau)
+        with np.errstate(over="ignore"):
+            table = _fixed_eta_power_terms(values[:, None], p_c[:, None], gains, params, taus)
+            return np.sum(table[idx, np.arange(n)], axis=1) <= budget_tol
+
+    def bisect_rows(idx: np.ndarray) -> BisectionOutcome:
+        eta_mat, p_c_mat = values[idx], p_c[idx]
+        return bisect_tau(
+            lambda taus: _fixed_eta_power_sums(eta_mat, p_c_mat, gains, params, taus)
+            <= budget_tol,
+            len(idx), lo, hi, eps,
         )
-    tau, eta_vec = best
-    p_t = [
-        p_t_from_tau(tau, eta_vec[n], float(channel.gains[n]), params)
-        for n in range(channel.n_users)
-    ]
-    alloc = derive_allocation(eta_vec, p_t, channel, curve, params)
+
+    # warm rows infeasible at lo report tau = lo, a floor the incumbent has anyway
+    warm_tau: float | None = None
+    best: tuple[float, np.ndarray] | None = None
+    n_seen = 0
+    iters_total = 0
+    for idx in _index_batches(len(values), n, shared):
+        n_seen += len(idx)
+        rows = None
+        if k_iters is not None and len(idx) >= _PRUNE_MIN_ROWS:
+            if warm_tau is None:
+                warm = _index_batches(len(values), n, shared=True)
+                warm_tau = max(float(np.max(bisect_rows(d).tau_bps)) for d in warm)
+            survive = fits_at(lo, idx)
+            iters_total += k_iters * int(np.count_nonzero(survive))
+            survive &= fits_at(warm_tau if best is None else max(warm_tau, best[0]), idx)
+            rows = np.flatnonzero(survive)
+        outcome = bisect_rows(idx if rows is None else idx[rows])
+        if rows is None:
+            iters_total += int(outcome.iterations.sum())
+        k = _best_row(outcome)
+        if k is not None and (best is None or outcome.tau_bps[k] > best[0]):
+            best = (float(outcome.tau_bps[k]), idx[k if rows is None else rows[k]])
+    if best is None:
+        tau, alloc = 0.0, zero_allocation(n)
+    else:
+        tau = best[0]
+        eta_vec = tuple(float(v) for v in values[best[1]])
+        p_t = [p_t_from_tau(tau, eta_vec[i], float(gains[i]), params) for i in range(n)]
+        alloc = derive_allocation(eta_vec, p_t, channel, curve, params)
     return SolveReport(
         method=method,
         tau_bps=tau,
         allocation=alloc,
-        feasible=True,
+        feasible=best is not None,
         outer_candidates_evaluated=n_seen,
         bisection_iterations_total=iters_total,
     )
@@ -540,14 +547,8 @@ def solve_method2(
     ratio for all users instead of the full Cartesian product. Vectors that
     cannot win are not bisected; the result is that of bisecting them all.
     """
-    if shared_eta:
-        vectors: Iterable[tuple[float, ...]] = (
-            (v,) * channel.n_users for v in curve.candidate_etas
-        )
-    else:
-        vectors = enumerate_eta_vectors(curve, channel.n_users)
-    return _fixed_eta_report(
-        Method.METHOD2, channel, curve, params, curve.candidate_etas, vectors
+    return _best_fixed_eta(
+        Method.METHOD2, channel, curve, params, curve.candidate_etas, shared_eta
     )
 
 
@@ -588,8 +589,7 @@ def solve_oracle(
     if grid_points_per_segment < 0:
         raise ValueError("grid_points_per_segment must be non-negative")
     cands = _oracle_candidates(curve, grid_points_per_segment)
-    vectors = itertools.product(cands, repeat=channel.n_users)
-    return _fixed_eta_report(Method.ORACLE, channel, curve, params, cands, vectors)
+    return _best_fixed_eta(Method.ORACLE, channel, curve, params, cands, False)
 
 
 # ---------------------------------------------------------------------------

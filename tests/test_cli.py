@@ -187,6 +187,16 @@ class TestSweepCommand:
         assert code == EXIT_CONFIG
         assert "sweep: sweep values must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dbm", ["1e6", "-1e6"])  # watts overflow / underflow
+    def test_out_of_range_noise_values_rejected(self, config_path, tmp_path, capsys, dbm):
+        code = main(
+            ["sweep", "--config", str(config_path), "--out", str(tmp_path / "o"),
+             "--param", "noise", f"--values={dbm}"]
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: sweep: noise sweep values must give a finite positive" in err
+
     def test_bad_values_list(self, config_path, tmp_path, capsys):
         code = main(
             ["sweep", "--config", str(config_path), "--param", "pmax",

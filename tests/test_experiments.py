@@ -261,6 +261,9 @@ class TestSweeps:
                 SweepSpec(param, (math.inf,))
             with pytest.raises(ValueError, match="finite"):
                 SweepSpec(param, (math.nan,))
+        for dbm in (1e6, -1e6):  # watts overflow to inf / underflow to 0
+            with pytest.raises(ValueError, match="noise sweep values"):
+                SweepSpec(SweepParam.NOISE, (dbm,))
         SweepSpec(SweepParam.NOISE, (-80.0, -90.0, -100.0))  # decreasing is fine
 
     def test_apply_pmax_and_noise(self):

@@ -32,6 +32,8 @@ from pscom_alloc import (
     validate_curve,
 )
 from pscom_alloc.solvers import (
+    _CHUNK,
+    _index_batches,
     _method1_power_sums,
     _oracle_candidates,
     _path_independent_iterations,
@@ -257,6 +259,18 @@ class TestCandidateEnumeration:
         vecs = list(enumerate_eta_vectors(curve, 3))
         assert vecs[0] == (1.0, 1.0, 1.0)
         assert vecs[-1] == (0.2, 0.2, 0.2)
+
+    @pytest.mark.parametrize("n_values, n_users", [(5, 1), (5, 4), (3, 9)])
+    def test_index_batches_follow_product_order(self, n_values, n_users):
+        # 3 values at 9 users: 19,683 vectors, one full chunk and a partial one
+        values = np.linspace(1.0, 0.2, n_values)
+        batches = list(_index_batches(n_values, n_users, shared=False))
+        assert all(len(b) == _CHUNK for b in batches[:-1])
+        assert values[np.concatenate(batches)].tolist() == [
+            list(v) for v in itertools.product(values.tolist(), repeat=n_users)
+        ]
+        (diagonal,) = _index_batches(n_values, n_users, shared=True)
+        assert values[diagonal].tolist() == [[v] * n_users for v in values.tolist()]
 
     def test_candidate_set_validation(self, curve):
         # validate_curve guarantees the candidate set: it starts at 1 and
@@ -524,6 +538,26 @@ class TestFixedEtaMatchesExhaustiveReference:
     def test_method2_battery(self, curve, n_users, seed, p_max_w, noise_power_w):
         params = SystemParams(p_max_w=p_max_w, noise_power_w=noise_power_w)
         self.check_method2(generate_channel_gains(n_users, 1e-10, 1e-8, seed), curve, params)
+
+    # 3 candidates keep the pruned search small beyond 7 users: 6,561 vectors
+    # at N = 8, 19,683 at N = 9 (a full chunk and a partial one)
+    TWO_SEGMENTS = ((1.0, 0.0), (0.6, 300.0), (0.2, 1500.0))
+
+    @pytest.mark.parametrize("n_users, seed", [(8, 1), (9, 2)])
+    def test_method2_beyond_seven_users(self, params, n_users, seed):
+        chan = generate_channel_gains(n_users, 1e-10, 1e-8, seed)
+        self.check_method2(chan, validate_curve(self.TWO_SEGMENTS), params)
+
+    def test_method2_vector_on_budget_at_tau_lo(self):
+        # from 8 columns on numpy sums a row pairwise; summed left to right,
+        # this vector's power at tau_lo_init lands one ulp over the budget, so
+        # a prune test that sums in another order drops its 47 iterations
+        chan = generate_channel_gains(8, 1e-10, 1e-8, 1)
+        curve = validate_curve(self.TWO_SEGMENTS)
+        params = SystemParams(p_max_w=4.499999999996148)
+        on_budget = method2_power_sum(chan, curve, params, (1.0,) * 5 + (0.2,) * 3, 1e-3)
+        assert on_budget == budget_tol(params)
+        self.check_method2(chan, curve, params)
 
     @pytest.mark.parametrize("n_users", [3, 7])
     def test_method2_shared_eta(self, curve, params, n_users):
