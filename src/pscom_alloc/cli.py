@@ -190,18 +190,22 @@ def _effective_config(inv: CliInvocation) -> ScenarioConfig:
 
 def _guard_enumeration(config: ScenarioConfig, max_users: int, force: bool) -> None:
     """Refuse fixed-ratio searches whose candidate count explodes."""
-    if Method.METHOD2 not in config.methods or config.method2_shared_eta:
-        return
-    n_candidates = len(config.curve_knots) ** max_users
+    n_method2 = n_oracle = 0
+    if Method.METHOD2 in config.methods and not config.method2_shared_eta:
+        n_method2 = len(config.curve_knots) ** max_users
+    if Method.ORACLE in config.methods:  # it refuses more than ORACLE_MAX_USERS
+        n_values = 1 + (len(config.curve_knots) - 1) * (config.oracle_grid_points + 1)
+        n_oracle = n_values ** min(max_users, ORACLE_MAX_USERS)
+    n_candidates = max(n_method2, n_oracle)
     if n_candidates > METHOD2_REFUSE_CANDIDATES and not force:
         raise ConfigError(
             f"methods: fixed-ratio search would enumerate {n_candidates:.3e} "
             f"candidate vectors (> {METHOD2_REFUSE_CANDIDATES:.0e}); "
             "pass --force to run anyway"
         )
-    if n_candidates > METHOD2_WARN_CANDIDATES:
+    if n_method2 > METHOD2_WARN_CANDIDATES:
         print(
-            f"warning: fixed-ratio search enumerates {n_candidates} candidate vectors",
+            f"warning: fixed-ratio search enumerates {n_method2} candidate vectors",
             file=sys.stderr,
         )
 
@@ -284,6 +288,7 @@ def _cmd_oracle_check(inv: CliInvocation) -> int:
     grid_points = config.oracle_grid_points if inv.grid_points is None else inv.grid_points
     schemes = (Method.METHOD1, Method.METHOD2, Method.ORACLE)
     checked = replace(config, methods=schemes, oracle_grid_points=grid_points)
+    _guard_enumeration(checked, n_users, inv.force)
     r1, r2, fine = (r.report for r in run_scenario(checked))
     knots = replace(checked, methods=(Method.ORACLE,), oracle_grid_points=0)
     (knots_only,) = (r.report for r in run_scenario(knots))

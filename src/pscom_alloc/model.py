@@ -145,7 +145,6 @@ class CompLoadCurve:
     breakpoints: tuple[float, ...] = field(repr=False)
     _etas_asc: tuple[float, ...] = field(repr=False)
     _loads_asc: tuple[float, ...] = field(repr=False)
-    _slopes_asc: tuple[float, ...] = field(repr=False)
 
     @property
     def num_segments(self) -> int:
@@ -167,7 +166,7 @@ class CompLoadCurve:
         if eta == xs[-1]:
             return self._loads_asc[-1]
         j = bisect_right(xs, eta) - 1
-        return self._slopes_asc[j] * (eta - xs[j]) + self._loads_asc[j]
+        return self.slopes[-1 - j] * (eta - xs[j]) + self._loads_asc[j]
 
 
 def validate_curve(knots) -> CompLoadCurve:
@@ -209,9 +208,6 @@ def validate_curve(knots) -> CompLoadCurve:
     intercepts = [loads[i + 1] - slopes[i] * etas[i + 1] for i in range(len(slopes))]
     xs = tuple(reversed(etas))
     ys = tuple(reversed(loads))
-    asc_slopes = tuple(
-        (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) for j in range(len(xs) - 1)
-    )
     return CompLoadCurve(
         knots=tuple(pts),
         slopes=tuple(slopes),
@@ -219,7 +215,6 @@ def validate_curve(knots) -> CompLoadCurve:
         breakpoints=tuple(etas[1:]),
         _etas_asc=xs,
         _loads_asc=ys,
-        _slopes_asc=asc_slopes,
     )
 
 
@@ -266,10 +261,10 @@ class SolveReport:
     The counts describe the plain search, whatever work was skipped:
     ``outer_candidates_evaluated`` is the number of outer candidates (beta
     samples, ratio vectors) and ``bisection_iterations_total`` the sum of the
-    iterations each candidate's bisection runs. The fixed-ratio search prunes
-    candidates that cannot win without bisecting them; each still counts, with
-    the K iterations its bisection is proven to take (zero if infeasible at
-    ``tau_lo_init``).
+    iterations each candidate's bisection runs. The fixed-ratio search over
+    the full product bisects one row, not one per vector; each vector still
+    counts, with the K iterations its bisection is proven to take (zero if
+    infeasible at ``tau_lo_init``).
     """
 
     method: Method

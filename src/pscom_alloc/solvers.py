@@ -16,16 +16,13 @@ bisections on the target rate tau, one per outer candidate:
   equal-rate condition; for a fixed ratio vector this inner bisection is
   exact, since equalizing all user rates is optimal.
 
-All of these bisections run on one engine, :func:`bisect_tau`, which holds
-one row per candidate (a beta sample, a ratio vector) and advances every row
-in lockstep against a vectorized budget predicate: the method-1 kernel
-``_method1_power_sums`` or the fixed-ratio kernel ``_fixed_eta_power_sums``.
-
-The fixed-ratio family (method 2, oracle) walks knot-index batches and
-prunes: a vector is bisected only if a per-(ratio, user) power table at the
-incumbent, the best tau so far (warm-started from the shared-ratio vectors),
-says it fits the budget. The rest cannot win or tie and count the iterations
-every bisection is proven to take: results and counts are those of bisecting all.
+All of these bisections run on one engine, :func:`bisect_tau`, which
+advances rows in lockstep against a vectorized budget predicate. Method 1
+bisects one row per beta sample with the kernel ``_method1_power_sums``. At
+a fixed tau the fixed-ratio budget (method 2, oracle) separates by user, so
+the full product's optimum is one row, the vector of each user's cheapest
+ratio; the counts are still those of bisecting every vector with the kernel
+``_fixed_eta_power_sums``, as the shared-ratio search does.
 
 ``solve_equal_power`` and ``solve_non_semantic`` are the comparison
 baselines, and ``solve_oracle`` densifies the ratio grid for small instances
@@ -88,11 +85,6 @@ ORACLE_MAX_USERS = 3
 
 # Candidate vectors per numpy batch in the fixed-ratio solvers.
 _CHUNK = 16384
-
-# Smallest batch the fixed-ratio search prunes. Below it a bisection costs
-# mostly per-iteration call overhead, which pruning doubles (warm rows plus
-# survivors) instead of saving.
-_PRUNE_MIN_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -457,64 +449,72 @@ def _best_fixed_eta(
 ) -> SolveReport:
     """Search all ratio vectors over ``values`` (``shared``: one common ratio).
 
-    Walks the batches of ``_index_batches``; the highest converged tau wins,
-    ties toward the earliest vector. The counts are those of bisecting every
-    vector (see ``SolveReport``).
+    Reports what bisecting every vector reports: the highest converged tau
+    wins, ties toward the earliest vector, with every vector's counts (see
+    ``SolveReport``). The shared search, and brackets with no count K proven
+    by ``_path_independent_iterations``, do just that. Otherwise one row is
+    bisected: each user's cheapest ratio in a per-(ratio, user)
+    ``_fixed_eta_power_terms`` table at each tau.
 
-    When ``_path_independent_iterations`` fixes the per-row iteration count
-    K, a batch of at least ``_PRUNE_MIN_ROWS`` vectors bisects only the
-    vectors that fit the budget at the incumbent: the best tau so far,
-    warm-started from the shared-ratio vectors. A row's power sum is
-    monotone in tau in floating point, so a row over budget at a tau some
-    row was tested feasible at can neither win nor tie. Both tests sum a
-    row's entries of a per-(ratio, user) ``_fixed_eta_power_terms`` table
-    at one tau as ``_fixed_eta_power_sums`` does: the bisection's bits.
-    Every row that fits at ``tau_lo_init`` counts K, as it would have run.
+    Proof. (a) Every row of ``bisect_tau`` runs the same arithmetic, and a
+    row's path depends only on where its threshold lies, so the best row's
+    result tau* is that of the "some vector fits" row. A vector that fits at
+    tau* answers each point of that path alike (the feasible ones lie at or
+    below tau*) and ties; any other ends below. So the ties are exactly the
+    vectors that fit at tau*, and the first in product order is built user by
+    user: each takes the first ratio with which the chosen prefix, completed
+    by the later users' cheapest ratios, still fits. (b) Rounding is
+    monotone, so under ``np.sum``'s fixed summation tree the row of per-user
+    minima has the least sum of any vector; it is itself a vector of the
+    product (not of the shared search). (c) ``np.sum(axis=1)`` gives each row
+    of a gathered C-contiguous (m, N) block the same bits for every m, and
+    the table holds the kernel's elementwise bits. Counts: a vector that fits
+    at ``tau_lo_init`` runs K iterations, any other none.
     """
     n = channel.n_users
     gains = channel.gains
     budget_tol = params.p_max_w * (1.0 + BUDGET_RTOL)
     lo, hi, eps = float(params.tau_lo_init), params.tau_hi_init, params.epsilon
-    k_iters = _path_independent_iterations(lo, hi, eps)
+    k_iters = None if shared else _path_independent_iterations(lo, hi, eps)
     values = np.array(values, dtype=np.float64)
     p_c = _comp_power_matrix(values, curve, params)
 
-    def fits_at(tau: float, idx: np.ndarray) -> np.ndarray:
-        taus = np.full(len(values), tau)
+    def table_at(taus: np.ndarray) -> np.ndarray:  # one target tau, shape (1,)
         with np.errstate(over="ignore"):
-            table = _fixed_eta_power_terms(values[:, None], p_c[:, None], gains, params, taus)
-            return np.sum(table[idx, np.arange(n)], axis=1) <= budget_tol
+            return _fixed_eta_power_terms(values[:, None], p_c[:, None], gains, params, taus)
 
-    def bisect_rows(idx: np.ndarray) -> BisectionOutcome:
-        eta_mat, p_c_mat = values[idx], p_c[idx]
-        return bisect_tau(
-            lambda taus: _fixed_eta_power_sums(eta_mat, p_c_mat, gains, params, taus)
-            <= budget_tol,
-            len(idx), lo, hi, eps,
-        )
+    def fits(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        return np.sum(table[idx, np.arange(n)], axis=1) <= budget_tol
 
-    # warm rows infeasible at lo report tau = lo, a floor the incumbent has anyway
-    warm_tau: float | None = None
     best: tuple[float, np.ndarray] | None = None
-    n_seen = 0
     iters_total = 0
-    for idx in _index_batches(len(values), n, shared):
-        n_seen += len(idx)
-        rows = None
-        if k_iters is not None and len(idx) >= _PRUNE_MIN_ROWS:
-            if warm_tau is None:
-                warm = _index_batches(len(values), n, shared=True)
-                warm_tau = max(float(np.max(bisect_rows(d).tau_bps)) for d in warm)
-            survive = fits_at(lo, idx)
-            iters_total += k_iters * int(np.count_nonzero(survive))
-            survive &= fits_at(warm_tau if best is None else max(warm_tau, best[0]), idx)
-            rows = np.flatnonzero(survive)
-        outcome = bisect_rows(idx if rows is None else idx[rows])
-        if rows is None:
+    if k_iters is None:
+        for idx in _index_batches(len(values), n, shared):
+            eta_mat, p_c_mat = values[idx], p_c[idx]
+            outcome = bisect_tau(
+                lambda taus: _fixed_eta_power_sums(eta_mat, p_c_mat, gains, params, taus)
+                <= budget_tol,
+                len(idx), lo, hi, eps,
+            )
             iters_total += int(outcome.iterations.sum())
-        k = _best_row(outcome)
-        if k is not None and (best is None or outcome.tau_bps[k] > best[0]):
-            best = (float(outcome.tau_bps[k]), idx[k if rows is None else rows[k]])
+            k = _best_row(outcome)
+            if k is not None and (best is None or outcome.tau_bps[k] > best[0]):
+                best = (float(outcome.tau_bps[k]), idx[k])
+    else:
+        for idx in _index_batches(len(values), n, shared):
+            iters_total += k_iters * int(np.count_nonzero(fits(table_at(np.array([lo])), idx)))
+        outcome = bisect_tau(
+            lambda taus: fits(t := table_at(taus), np.argmin(t, axis=0)[None]),
+            1, lo, hi, eps,
+        )
+        if outcome.converged[0]:
+            table = table_at(outcome.tau_bps)
+            row = np.argmin(table, axis=0)
+            for col in range(n):
+                idx = np.tile(row, (len(values), 1))
+                idx[:, col] = np.arange(len(values))
+                row[col] = np.flatnonzero(fits(table, idx))[0]
+            best = (float(outcome.tau_bps[0]), row)
     if best is None:
         tau, alloc = 0.0, zero_allocation(n)
     else:
@@ -527,7 +527,7 @@ def _best_fixed_eta(
         tau_bps=tau,
         allocation=alloc,
         feasible=best is not None,
-        outer_candidates_evaluated=n_seen,
+        outer_candidates_evaluated=len(values) if shared else len(values) ** n,
         bisection_iterations_total=iters_total,
     )
 
@@ -544,8 +544,7 @@ def solve_method2(
     remaining max-min power allocation is solved exactly (to epsilon) by
     bisecting tau against the budget: equalizing every user's rate is
     optimal there. ``shared_eta=True`` restricts the search to one common
-    ratio for all users instead of the full Cartesian product. Vectors that
-    cannot win are not bisected; the result is that of bisecting them all.
+    ratio for all users instead of the full Cartesian product.
     """
     return _best_fixed_eta(
         Method.METHOD2, channel, curve, params, curve.candidate_etas, shared_eta

@@ -8,6 +8,7 @@ import pytest
 from pscom_alloc import (
     BUDGET_RTOL,
     ChannelSpec,
+    Method,
     default_scenario_config,
     method1_power_sum,
     realize_channel,
@@ -97,6 +98,17 @@ class TestSolveCommand:
         code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
         assert "--force" in capsys.readouterr().err
+
+    def test_enumeration_guard_counts_the_oracle(self, tmp_path, capsys):
+        # 4 segments of 201 values each plus 1: 805^3 = 5.2e8 oracle vectors
+        cfg = dataclasses.replace(
+            default_scenario_config(), methods=(Method.ORACLE,), oracle_grid_points=200
+        )
+        path = _write_config(tmp_path, cfg)
+        code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert "--force" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_infeasible_exit(self, tmp_path, capsys):
         cfg = default_scenario_config()
@@ -284,10 +296,21 @@ class TestOracleCheckCommand:
 
     def test_default_grid_on_stock_scenario(self, config_path, capsys):
         # the documented default: 3 users, 25 grid points per segment
-        # (about 1.2e6 candidate vectors; the slowest test in the suite)
+        # (about 1.2e6 oracle vectors: under the refusal bound, and the 1e6
+        # warning counts method2's vectors only)
         code = main(["oracle-check", "--config", str(config_path)])
         assert code == EXIT_OK
-        assert "oracle-check: OK" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert "oracle-check: OK" in out
+        assert err == ""
+
+    def test_enumeration_guard(self, config_path, capsys):
+        # 805^3 = 5.2e8 oracle vectors: refused before any solve
+        code = main(["oracle-check", "--config", str(config_path), "--grid-points", "200"])
+        assert code == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--force" in err
 
 
     def test_grid_points_fall_back_to_config(self, tmp_path, capsys):

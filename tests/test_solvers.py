@@ -599,6 +599,51 @@ class TestFixedEtaMatchesExhaustiveReference:
     def test_bracket_edges(self, curve, params):
         self.check_method2(generate_channel_gains(5, 1e-10, 1e-8, 3), curve, params)
 
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        cuts=st.sets(st.integers(1, 63), min_size=1, max_size=5),
+        slopes=st.lists(st.integers(1, 4000), min_size=5, max_size=5),
+        gains=st.lists(st.sampled_from([1e-10, 1e-9, 3e-9, 1e-8]), min_size=1, max_size=4),
+        p_max_w=st.floats(0.05, 12.0),
+        tau_lo_init=st.sampled_from([0.0, 1e-3]),
+        tau_hi_init=st.sampled_from([1e10, 1e8]),
+        epsilon=st.sampled_from([1e-4, 1e-9]),
+        shared_eta=st.booleans(),
+    )
+    def test_random_curves(
+        self, cuts, slopes, gains, p_max_w, tau_lo_init, tau_hi_init, epsilon, shared_eta
+    ):
+        # ratios on a 1/64 grid and integer slopes keep every knot, and so
+        # the validated slopes, exact: 2 to 6 knots, slope magnitudes sorted;
+        # the 1e8 bracket caps tau where many vectors fit, so ties must break
+        # toward the earliest
+        etas = [1.0] + [1.0 - c / 64 for c in sorted(cuts)]
+        knots = [(1.0, 0.0)]
+        for e_hi, e_lo, m in zip(etas, etas[1:], sorted(slopes)):
+            knots.append((e_lo, knots[-1][1] + m * (e_hi - e_lo)))
+        params = SystemParams(
+            p_max_w=p_max_w, tau_lo_init=tau_lo_init, tau_hi_init=tau_hi_init, epsilon=epsilon
+        )
+        chan = ChannelState(np.array(gains))
+        self.check_method2(chan, validate_curve(knots), params, shared_eta=shared_eta)
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 16384])
+    def test_row_sums_do_not_depend_on_block_height(self, m):
+        # the one-row search and the count pass sum gathered blocks of other
+        # heights than the bisection's; each row must get the same bits
+        rng = np.random.default_rng(m)
+        order_matters = False
+        for n in range(2, 21):
+            table = np.exp(rng.normal(0.0, 12.0, size=(7, n)))
+            rows = rng.integers(0, 7, size=(64, n))
+            single = [np.sum(table[r[None], np.arange(n)], axis=1)[0] for r in rows]
+            idx = np.resize(rows, (m, n))
+            block = np.sum(table[idx, np.arange(n)], axis=1)
+            assert block.tolist() == np.resize(single, m).tolist()
+            left_to_right = [sum(table[r, np.arange(n)].tolist()) for r in rows]
+            order_matters |= left_to_right != single
+        assert order_matters  # the data can tell summation orders apart
+
 
 # ---------------------------------------------------------------------------
 # baselines
