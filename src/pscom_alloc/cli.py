@@ -188,24 +188,38 @@ def _effective_config(inv: CliInvocation) -> ScenarioConfig:
     return config
 
 
+def _vector_count(n_values: int, n_users: int) -> int | None:
+    """``n_values ** n_users``, or None once it exceeds the refusal bound.
+
+    The product stops growing past the bound, so no huge power is built or
+    formatted: with 2 or more values per user, 27 users already exceed it.
+    """
+    count = 1
+    for _ in range(n_users):
+        count *= n_values
+        if count > METHOD2_REFUSE_CANDIDATES:
+            return None
+    return count
+
+
 def _guard_enumeration(config: ScenarioConfig, max_users: int, force: bool) -> None:
     """Refuse fixed-ratio searches whose candidate count explodes."""
     n_method2 = n_oracle = 0
     if Method.METHOD2 in config.methods and not config.method2_shared_eta:
-        n_method2 = len(config.curve_knots) ** max_users
+        n_method2 = _vector_count(len(config.curve_knots), max_users)
     if Method.ORACLE in config.methods:  # it refuses more than ORACLE_MAX_USERS
         n_values = 1 + (len(config.curve_knots) - 1) * (config.oracle_grid_points + 1)
-        n_oracle = n_values ** min(max_users, ORACLE_MAX_USERS)
-    n_candidates = max(n_method2, n_oracle)
-    if n_candidates > METHOD2_REFUSE_CANDIDATES and not force:
+        n_oracle = _vector_count(n_values, min(max_users, ORACLE_MAX_USERS))
+    too_many = f"more than {METHOD2_REFUSE_CANDIDATES:.0e}"
+    if None in (n_method2, n_oracle) and not force:
         raise ConfigError(
-            f"methods: fixed-ratio search would enumerate {n_candidates:.3e} "
-            f"candidate vectors (> {METHOD2_REFUSE_CANDIDATES:.0e}); "
-            "pass --force to run anyway"
+            f"methods: fixed-ratio search would enumerate {too_many} "
+            "candidate vectors; pass --force to run anyway"
         )
-    if n_method2 > METHOD2_WARN_CANDIDATES:
+    if n_method2 is None or n_method2 > METHOD2_WARN_CANDIDATES:
+        count = too_many if n_method2 is None else n_method2
         print(
-            f"warning: fixed-ratio search enumerates {n_method2} candidate vectors",
+            f"warning: fixed-ratio search enumerates {count} candidate vectors",
             file=sys.stderr,
         )
 

@@ -513,16 +513,17 @@ def run_sweep(
 ) -> list[RunRecord]:
     """One scenario run per sweep value; long-format records in sweep order.
 
-    ``jobs > 1`` evaluates sweep points in parallel processes; the output
-    order and all numeric results are identical to the serial run (solvers
-    are deterministic), only wall-clock timings differ.
+    ``jobs > 1`` evaluates sweep points in parallel processes, at most one
+    per point; the output order and all numeric results are identical to the
+    serial run (solvers are deterministic), only wall-clock timings differ.
     """
     tasks = []
     for value in sweep.values:
         derived = apply_sweep_value(config, sweep.parameter, value)
         tasks.append((derived, f"{sweep.parameter.value}={value:g}"))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             nested = list(pool.map(_sweep_point, tasks))
     else:
         nested = [_sweep_point(t) for t in tasks]

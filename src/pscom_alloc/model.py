@@ -261,10 +261,11 @@ class SolveReport:
     The counts describe the plain search, whatever work was skipped:
     ``outer_candidates_evaluated`` is the number of outer candidates (beta
     samples, ratio vectors) and ``bisection_iterations_total`` the sum of the
-    iterations each candidate's bisection runs. The fixed-ratio search over
-    the full product bisects one row, not one per vector; each vector still
-    counts, with the K iterations its bisection is proven to take (zero if
-    infeasible at ``tau_lo_init``).
+    iterations each candidate's bisection runs. The fixed-ratio search (full
+    product or shared ratio) always bisects one row for tau and the winner;
+    each vector still counts, with the K iterations its bisection is proven
+    to take (zero if infeasible at ``tau_lo_init``). Only when K is unproven
+    is every vector bisected, and then only to count its iterations.
     """
 
     method: Method

@@ -20,9 +20,10 @@ All of these bisections run on one engine, :func:`bisect_tau`, which
 advances rows in lockstep against a vectorized budget predicate. Method 1
 bisects one row per beta sample with the kernel ``_method1_power_sums``. At
 a fixed tau the fixed-ratio budget (method 2, oracle) separates by user, so
-the full product's optimum is one row, the vector of each user's cheapest
-ratio; the counts are still those of bisecting every vector with the kernel
-``_fixed_eta_power_sums``, as the shared-ratio search does.
+one row always gives tau and the winner: each user's cheapest ratio, or the
+cheapest common ratio in the shared-ratio search. The counts are still those
+of bisecting every vector with the kernel ``_fixed_eta_power_sums``, which
+runs per vector only to count iterations when their number is unproven.
 
 ``solve_equal_power`` and ``solve_non_semantic`` are the comparison
 baselines, and ``solve_oracle`` densifies the ratio grid for small instances
@@ -420,19 +421,15 @@ def _path_independent_iterations(lo: float, hi: float, epsilon: float) -> int | 
     return k
 
 
-def _index_batches(base: int, n_users: int, shared: bool) -> Iterator[np.ndarray]:
+def _index_batches(base: int, n_users: int) -> Iterator[np.ndarray]:
     """Knot-index matrices of the candidate vectors, ``_CHUNK`` rows each.
 
     Row r holds the base-``base`` digits of r, most significant first: the
-    order of ``itertools.product(range(base), repeat=n_users)``. With
-    ``shared``, row i is (i, ..., i).
+    order of ``itertools.product(range(base), repeat=n_users)``.
     """
-    total = base if shared else base**n_users
+    total = base**n_users
     for start in range(0, total, _CHUNK):
         rem = np.arange(start, min(start + _CHUNK, total))
-        if shared:
-            yield np.repeat(rem[:, None], n_users, axis=1)
-            continue
         idx = np.empty((len(rem), n_users), dtype=np.int64)
         for col in range(n_users - 1, -1, -1):
             rem, idx[:, col] = np.divmod(rem, base)
@@ -451,83 +448,84 @@ def _best_fixed_eta(
 
     Reports what bisecting every vector reports: the highest converged tau
     wins, ties toward the earliest vector, with every vector's counts (see
-    ``SolveReport``). The shared search, and brackets with no count K proven
-    by ``_path_independent_iterations``, do just that. Otherwise one row is
-    bisected: each user's cheapest ratio in a per-(ratio, user)
-    ``_fixed_eta_power_terms`` table at each tau.
+    ``SolveReport``). One row gives tau and the winner for every bracket:
+    each column's cheapest ratio in a per-(ratio, column) table at each tau.
+    The full product has one column per user, built by
+    ``_fixed_eta_power_terms``; the shared search has one column, each
+    ratio's sum over the users.
 
     Proof. (a) Every row of ``bisect_tau`` runs the same arithmetic, and a
     row's path depends only on where its threshold lies, so the best row's
     result tau* is that of the "some vector fits" row. A vector that fits at
     tau* answers each point of that path alike (the feasible ones lie at or
     below tau*) and ties; any other ends below. So the ties are exactly the
-    vectors that fit at tau*, and the first in product order is built user by
-    user: each takes the first ratio with which the chosen prefix, completed
-    by the later users' cheapest ratios, still fits. (b) Rounding is
-    monotone, so under ``np.sum``'s fixed summation tree the row of per-user
-    minima has the least sum of any vector; it is itself a vector of the
-    product (not of the shared search). (c) ``np.sum(axis=1)`` gives each row
-    of a gathered C-contiguous (m, N) block the same bits for every m, and
-    the table holds the kernel's elementwise bits. Counts: a vector that fits
-    at ``tau_lo_init`` runs K iterations, any other none.
+    vectors that fit at tau*, and the first in product order is built column
+    by column: each takes the first ratio with which the chosen prefix,
+    completed by the later columns' cheapest ratios, still fits. (b) Rounding
+    is monotone, so under ``np.sum``'s fixed summation tree the row of
+    per-column minima has the least sum of any vector, and it is itself a
+    vector of the search. (c) ``np.sum(axis=1)`` gives each row of a
+    C-contiguous (m, N) block the same bits for every m, and the table holds
+    the kernel's elementwise bits; a one-column row sums to its one entry.
+    None of this uses the iteration count. Counts: with K proven by
+    ``_path_independent_iterations``, a vector that fits at ``tau_lo_init``
+    runs K iterations and any other none; otherwise every vector is bisected
+    with ``_fixed_eta_power_sums`` only to count its iterations.
     """
     n = channel.n_users
+    cols = 1 if shared else n
     gains = channel.gains
     budget_tol = params.p_max_w * (1.0 + BUDGET_RTOL)
     lo, hi, eps = float(params.tau_lo_init), params.tau_hi_init, params.epsilon
-    k_iters = None if shared else _path_independent_iterations(lo, hi, eps)
+    k_iters = _path_independent_iterations(lo, hi, eps)
     values = np.array(values, dtype=np.float64)
     p_c = _comp_power_matrix(values, curve, params)
 
     def table_at(taus: np.ndarray) -> np.ndarray:  # one target tau, shape (1,)
         with np.errstate(over="ignore"):
-            return _fixed_eta_power_terms(values[:, None], p_c[:, None], gains, params, taus)
+            table = _fixed_eta_power_terms(values[:, None], p_c[:, None], gains, params, taus)
+            return np.sum(table, axis=1, keepdims=True) if shared else table
 
     def fits(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return np.sum(table[idx, np.arange(n)], axis=1) <= budget_tol
+        return np.sum(table[idx, np.arange(cols)], axis=1) <= budget_tol
 
-    best: tuple[float, np.ndarray] | None = None
     iters_total = 0
-    if k_iters is None:
-        for idx in _index_batches(len(values), n, shared):
-            eta_mat, p_c_mat = values[idx], p_c[idx]
-            outcome = bisect_tau(
-                lambda taus: _fixed_eta_power_sums(eta_mat, p_c_mat, gains, params, taus)
-                <= budget_tol,
-                len(idx), lo, hi, eps,
-            )
-            iters_total += int(outcome.iterations.sum())
-            k = _best_row(outcome)
-            if k is not None and (best is None or outcome.tau_bps[k] > best[0]):
-                best = (float(outcome.tau_bps[k]), idx[k])
-    else:
-        for idx in _index_batches(len(values), n, shared):
-            iters_total += k_iters * int(np.count_nonzero(fits(table_at(np.array([lo])), idx)))
+    lo_table = table_at(np.array([lo]))
+    for idx in _index_batches(len(values), cols):
+        if k_iters is not None:
+            iters_total += k_iters * int(np.count_nonzero(fits(lo_table, idx)))
+            continue
+        eta_mat, p_c_mat = values[idx], p_c[idx]
         outcome = bisect_tau(
-            lambda taus: fits(t := table_at(taus), np.argmin(t, axis=0)[None]),
-            1, lo, hi, eps,
+            lambda taus: _fixed_eta_power_sums(eta_mat, p_c_mat, gains, params, taus)
+            <= budget_tol,
+            len(idx), lo, hi, eps,
         )
-        if outcome.converged[0]:
-            table = table_at(outcome.tau_bps)
-            row = np.argmin(table, axis=0)
-            for col in range(n):
-                idx = np.tile(row, (len(values), 1))
-                idx[:, col] = np.arange(len(values))
-                row[col] = np.flatnonzero(fits(table, idx))[0]
-            best = (float(outcome.tau_bps[0]), row)
-    if best is None:
-        tau, alloc = 0.0, zero_allocation(n)
-    else:
-        tau = best[0]
-        eta_vec = tuple(float(v) for v in values[best[1]])
+        iters_total += int(outcome.iterations.sum())
+    outcome = bisect_tau(
+        lambda taus: fits(t := table_at(taus), np.argmin(t, axis=0)[None]),
+        1, lo, hi, eps,
+    )
+    feasible = bool(outcome.converged[0])
+    if feasible:
+        tau = float(outcome.tau_bps[0])
+        table = table_at(outcome.tau_bps)
+        row = np.argmin(table, axis=0)
+        for col in range(cols):
+            idx = np.tile(row, (len(values), 1))
+            idx[:, col] = np.arange(len(values))
+            row[col] = np.flatnonzero(fits(table, idx))[0]
+        eta_vec = tuple(float(v) for v in values[np.broadcast_to(row, (n,))])
         p_t = [p_t_from_tau(tau, eta_vec[i], float(gains[i]), params) for i in range(n)]
         alloc = derive_allocation(eta_vec, p_t, channel, curve, params)
+    else:
+        tau, alloc = 0.0, zero_allocation(n)
     return SolveReport(
         method=method,
         tau_bps=tau,
         allocation=alloc,
-        feasible=best is not None,
-        outer_candidates_evaluated=len(values) if shared else len(values) ** n,
+        feasible=feasible,
+        outer_candidates_evaluated=len(values) ** cols,
         bisection_iterations_total=iters_total,
     )
 

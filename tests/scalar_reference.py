@@ -2,8 +2,10 @@
 
 * Method 1: one Python-float bisection per beta sample, with a user-by-user
   power sum. The package runs the same search as numpy rows in lockstep.
-* The fixed-ratio family (method 2, oracle): every ratio vector is bisected,
-  none pruned. The package bisects only the vectors that can still win.
+* The fixed-ratio family (method 2, oracle): every ratio vector is bisected
+  and the best kept. The package bisects one row, each user's cheapest ratio
+  (or the cheapest common ratio), and bisects every vector only to count
+  iterations when their number is unproven.
 
 Tests compare each reference with the package bit for bit.
 """

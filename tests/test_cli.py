@@ -110,6 +110,18 @@ class TestSolveCommand:
         assert "--force" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_enumeration_guard_refuses_counts_beyond_float(self, tmp_path, capsys):
+        # 5^500 vectors: more than a float holds, refused without a traceback
+        cfg = dataclasses.replace(
+            default_scenario_config(),
+            channel=ChannelSpec(n_users=500, gain_min=1e-10, gain_max=1e-8, seed=1),
+        )
+        path = _write_config(tmp_path, cfg)
+        code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert "--force" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_infeasible_exit(self, tmp_path, capsys):
         cfg = default_scenario_config()
         cfg = dataclasses.replace(
@@ -234,6 +246,18 @@ class TestSweepCommand:
             gains.setdefault(row["scenario_id"], []).append(float(row["gain"]))
         assert gains["users=3"][:2] == gains["users=2"]
         assert gains["users=4"][:3] == gains["users=3"]
+
+    def test_enumeration_guard_counts_the_largest_user_count(
+        self, config_path, tmp_path, capsys
+    ):
+        # method2 at 500 users: 5^500 vectors, refused before any sweep point
+        code = main(
+            ["sweep", "--config", str(config_path), "--out", str(tmp_path / "o"),
+             "--param", "users", "--values", "2,500"]
+        )
+        assert code == EXIT_CONFIG
+        assert "--force" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_jobs_flag(self, config_path, tmp_path):
         out1 = tmp_path / "serial"

@@ -27,6 +27,7 @@ from pscom_alloc import (
     serialize_scenario_config,
     watts_to_dbm,
 )
+from pscom_alloc import experiments
 
 NON_SEMANTIC_2USER = 1e7 * math.log2(4001)
 
@@ -317,6 +318,34 @@ class TestSweeps:
             assert a.report.tau_bps == b.report.tau_bps
             assert np.array_equal(a.report.allocation.p_t_w, b.report.allocation.p_t_w)
             assert np.array_equal(a.report.allocation.rates_bps, b.report.allocation.rates_bps)
+
+    @pytest.mark.parametrize(
+        "jobs, n_points, workers",
+        [(64, 2, 2), (2, 10, 2), (64, 1, None), (1, 3, None)],
+    )
+    def test_workers_capped_at_sweep_points(self, monkeypatch, jobs, n_points, workers):
+        # a recording stand-in for the pool: no process is ever started
+        requested = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        cfg = dataclasses.replace(default_scenario_config(), methods=(Method.NON_SEMANTIC,))
+        values = tuple(float(v) for v in range(3, 3 + n_points))
+        records = run_sweep(cfg, SweepSpec(SweepParam.PMAX, values), jobs=jobs)
+        assert [r.sweep_value for r in records] == list(values)
+        assert requested == ([] if workers is None else [workers])
 
 
 # ---------------------------------------------------------------------------

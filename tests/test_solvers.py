@@ -211,7 +211,7 @@ class TestBisectTau:
 
 
 class TestPathIndependentIterations:
-    """The helper that lets the fixed-ratio search count pruned rows."""
+    """The helper that lets the fixed-ratio search count without bisecting."""
 
     def test_stock_bracket(self):
         assert _path_independent_iterations(1e-3, 1e10, 1e-4) == 47
@@ -264,13 +264,11 @@ class TestCandidateEnumeration:
     def test_index_batches_follow_product_order(self, n_values, n_users):
         # 3 values at 9 users: 19,683 vectors, one full chunk and a partial one
         values = np.linspace(1.0, 0.2, n_values)
-        batches = list(_index_batches(n_values, n_users, shared=False))
+        batches = list(_index_batches(n_values, n_users))
         assert all(len(b) == _CHUNK for b in batches[:-1])
         assert values[np.concatenate(batches)].tolist() == [
             list(v) for v in itertools.product(values.tolist(), repeat=n_users)
         ]
-        (diagonal,) = _index_batches(n_values, n_users, shared=True)
-        assert values[diagonal].tolist() == [[v] * n_users for v in values.tolist()]
 
     def test_candidate_set_validation(self, curve):
         # validate_curve guarantees the candidate set: it starts at 1 and
@@ -506,7 +504,7 @@ class TestSolveMethod2:
 
 
 class TestFixedEtaMatchesExhaustiveReference:
-    """Pruned search reports exactly what bisecting every vector reports."""
+    """The one-row search reports exactly what bisecting every vector reports."""
 
     @staticmethod
     def assert_same(a, b):
@@ -539,8 +537,8 @@ class TestFixedEtaMatchesExhaustiveReference:
         params = SystemParams(p_max_w=p_max_w, noise_power_w=noise_power_w)
         self.check_method2(generate_channel_gains(n_users, 1e-10, 1e-8, seed), curve, params)
 
-    # 3 candidates keep the pruned search small beyond 7 users: 6,561 vectors
-    # at N = 8, 19,683 at N = 9 (a full chunk and a partial one)
+    # 3 candidates keep the exhaustive reference small beyond 7 users: 6,561
+    # vectors at N = 8, 19,683 at N = 9 (a full chunk and a partial one)
     TWO_SEGMENTS = ((1.0, 0.0), (0.6, 300.0), (0.2, 1500.0))
 
     @pytest.mark.parametrize("n_users, seed", [(8, 1), (9, 2)])
@@ -551,7 +549,7 @@ class TestFixedEtaMatchesExhaustiveReference:
     def test_method2_vector_on_budget_at_tau_lo(self):
         # from 8 columns on numpy sums a row pairwise; summed left to right,
         # this vector's power at tau_lo_init lands one ulp over the budget, so
-        # a prune test that sums in another order drops its 47 iterations
+        # a count test that sums in another order drops its 47 iterations
         chan = generate_channel_gains(8, 1e-10, 1e-8, 1)
         curve = validate_curve(self.TWO_SEGMENTS)
         params = SystemParams(p_max_w=4.499999999996148)
@@ -559,12 +557,30 @@ class TestFixedEtaMatchesExhaustiveReference:
         assert on_budget == budget_tol(params)
         self.check_method2(chan, curve, params)
 
-    @pytest.mark.parametrize("n_users", [3, 7])
+    # epsilon=1e-9 leaves K unproven: every vector is bisected to count
+    @pytest.mark.parametrize(
+        "n_users, params",
+        [
+            pytest.param(3, SystemParams(), id="3"),
+            pytest.param(7, SystemParams(), id="7"),
+            pytest.param(3, SystemParams(epsilon=1e-9), id="3-tiny_epsilon"),
+            pytest.param(7, SystemParams(epsilon=1e-9), id="7-tiny_epsilon"),
+        ],
+    )
     def test_method2_shared_eta(self, curve, params, n_users):
+        # the one-column table: each common ratio's power summed over the users
         chan = generate_channel_gains(n_users, 1e-10, 1e-8, 3)
         self.check_method2(chan, curve, params, shared_eta=True)
 
-    @pytest.mark.parametrize("n_users", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "n_users, params",
+        [
+            pytest.param(1, SystemParams(), id="1"),
+            pytest.param(2, SystemParams(), id="2"),
+            pytest.param(3, SystemParams(), id="3"),
+            pytest.param(2, SystemParams(epsilon=1e-9), id="2-tiny_epsilon"),
+        ],
+    )
     def test_oracle(self, curve, params, n_users):
         chan = generate_channel_gains(n_users, 1e-10, 1e-8, 42)
         cands = _oracle_candidates(curve, 3)
@@ -592,7 +608,7 @@ class TestFixedEtaMatchesExhaustiveReference:
         [
             SystemParams(tau_lo_init=0.0),
             SystemParams(tau_hi_init=1e8),
-            SystemParams(epsilon=1e-9),  # count unproven: nothing is pruned
+            SystemParams(epsilon=1e-9),  # K unproven: every vector bisected to count
         ],
         ids=["zero_lower_bound", "capped_bracket", "tiny_epsilon"],
     )
