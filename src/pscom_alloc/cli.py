@@ -9,16 +9,14 @@ Exit codes are a stable contract:
 * 4 oracle validation violated
 
 Summary lines go to stdout, diagnostics to stderr; machine consumers should
-read the CSV files. The optional ``PSCOM_ALLOC_JOBS`` environment variable
-sets the default parallelism degree (overridden by ``--jobs``).
+read the CSV files.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .experiments import (
@@ -36,7 +34,7 @@ from .experiments import (
 from .model import Method, SolveReport, SystemParams, total_power
 from .solvers import ORACLE_MAX_USERS
 
-__all__ = ["CliInvocation", "main", "entry"]
+__all__ = ["main", "entry"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -59,36 +57,15 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-@dataclass(frozen=True)
-class CliInvocation:
-    """One parsed invocation of the tool."""
-
-    subcommand: str
-    config_path: Path
-    output_dir: Path
-    methods: tuple[Method, ...] | None
-    sweep_param: SweepParam | None
-    sweep_values: tuple[float, ...] | None
-    force: bool
-    jobs: int
-    grid_points: int | None
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get("PSCOM_ALLOC_JOBS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pscom-alloc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p: _Parser) -> None:
-        p.add_argument("--config", required=True, help="scenario config JSON path")
-        p.add_argument("--out", default="results", help="output directory for CSV/SVG files")
+        p.add_argument("--config", type=Path, required=True, help="scenario config JSON path")
+        p.add_argument(
+            "--out", type=Path, default="results", help="output directory for CSV/SVG files"
+        )
         p.add_argument(
             "--method",
             default=None,
@@ -96,7 +73,7 @@ def _build_parser() -> _Parser:
             + ",".join(m.value for m in Method)
             + " (default: config methods)",
         )
-        p.add_argument("--jobs", type=int, default=_default_jobs(), help="parallel sweep workers")
+        p.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
         p.add_argument(
             "--force",
             action="store_true",
@@ -150,41 +127,31 @@ def _parse_methods(raw: str | None) -> tuple[Method, ...] | None:
     return tuple(methods)
 
 
-def _parse_invocation(argv) -> CliInvocation:
+def _parse_invocation(argv) -> argparse.Namespace:
+    """Parse and check ``argv``.
+
+    ``values`` becomes a float tuple and ``method`` a ``Method`` tuple or None.
+    """
     args = _build_parser().parse_args(argv)
-    config_path = Path(args.config)
-    if not config_path.is_file():
-        raise CliError(f"config path does not exist: {config_path}")
-    sweep_param = None
-    sweep_values = None
+    if not args.config.is_file():
+        raise CliError(f"config path does not exist: {args.config}")
     if args.subcommand == "sweep":
-        sweep_param = SweepParam(args.param)
         try:
-            sweep_values = tuple(float(v) for v in args.values.split(","))
+            args.values = tuple(float(v) for v in args.values.split(","))
         except ValueError:
             raise CliError(f"--values must be a comma-separated number list: {args.values!r}")
     if args.jobs < 1:
         raise CliError("--jobs must be >= 1")
-    grid_points = getattr(args, "grid_points", None)
-    if grid_points is not None and grid_points < 0:
+    if getattr(args, "grid_points", None) is not None and args.grid_points < 0:
         raise CliError("--grid-points must be >= 0")
-    return CliInvocation(
-        subcommand=args.subcommand,
-        config_path=config_path,
-        output_dir=Path(args.out),
-        methods=_parse_methods(args.method),
-        sweep_param=sweep_param,
-        sweep_values=sweep_values,
-        force=args.force,
-        jobs=args.jobs,
-        grid_points=grid_points,
-    )
+    args.method = _parse_methods(args.method)
+    return args
 
 
-def _effective_config(inv: CliInvocation) -> ScenarioConfig:
-    config = load_scenario_config(inv.config_path)
-    if inv.methods is not None:
-        config = replace(config, methods=inv.methods)
+def _effective_config(args: argparse.Namespace) -> ScenarioConfig:
+    config = load_scenario_config(args.config)
+    if args.method is not None:
+        config = replace(config, methods=args.method)
     return config
 
 
@@ -251,11 +218,11 @@ def _warn_if_capped(label: str, report: SolveReport, params: SystemParams) -> No
         )
 
 
-def _cmd_solve(inv: CliInvocation) -> int:
-    config = _effective_config(inv)
-    _guard_enumeration(config, config.channel.user_count, inv.force)
+def _cmd_solve(args: argparse.Namespace) -> int:
+    config = _effective_config(args)
+    _guard_enumeration(config, config.channel.user_count, args.force)
     records = run_scenario(config)
-    summary, detail = export_csv(records, inv.output_dir)
+    summary, detail = export_csv(records, args.out)
     _print_records(records, with_sweep=False)
     for r in records:
         _warn_if_capped(r.report.method.value, r.report, config.system)
@@ -266,20 +233,20 @@ def _cmd_solve(inv: CliInvocation) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(inv: CliInvocation) -> int:
-    config = _effective_config(inv)
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    config = _effective_config(args)
     try:
-        sweep = SweepSpec(parameter=inv.sweep_param, values=inv.sweep_values)
+        sweep = SweepSpec(parameter=SweepParam(args.param), values=args.values)
     except ValueError as exc:
         raise ConfigError(f"sweep: {exc}") from exc
-    if inv.sweep_param is SweepParam.USERS:
-        max_users = int(max(inv.sweep_values))
+    if sweep.parameter is SweepParam.USERS:
+        max_users = int(max(sweep.values))
     else:
         max_users = config.channel.user_count
-    _guard_enumeration(config, max_users, inv.force)
-    records = run_sweep(config, sweep, jobs=inv.jobs)
-    summary, detail = export_csv(records, inv.output_dir)
-    plot = emit_plot(records, Path(inv.output_dir) / f"sweep_{sweep.parameter.value}.svg")
+    _guard_enumeration(config, max_users, args.force)
+    records = run_sweep(config, sweep, jobs=args.jobs)
+    summary, detail = export_csv(records, args.out)
+    plot = emit_plot(records, args.out / f"sweep_{sweep.parameter.value}.svg")
     _print_records(records, with_sweep=True)
     for r in records:
         _warn_if_capped(f"{r.scenario_id} {r.report.method.value}", r.report, config.system)
@@ -290,8 +257,8 @@ def _cmd_sweep(inv: CliInvocation) -> int:
     return EXIT_OK
 
 
-def _cmd_oracle_check(inv: CliInvocation) -> int:
-    config = load_scenario_config(inv.config_path)
+def _cmd_oracle_check(args: argparse.Namespace) -> int:
+    config = load_scenario_config(args.config)
     n_users = config.channel.user_count
     if n_users > ORACLE_MAX_USERS:
         raise ConfigError(
@@ -299,10 +266,10 @@ def _cmd_oracle_check(inv: CliInvocation) -> int:
             f"(config has {n_users})"
         )
     params = config.system
-    grid_points = config.oracle_grid_points if inv.grid_points is None else inv.grid_points
+    grid_points = config.oracle_grid_points if args.grid_points is None else args.grid_points
     schemes = (Method.METHOD1, Method.METHOD2, Method.ORACLE)
     checked = replace(config, methods=schemes, oracle_grid_points=grid_points)
-    _guard_enumeration(checked, n_users, inv.force)
+    _guard_enumeration(checked, n_users, args.force)
     r1, r2, fine = (r.report for r in run_scenario(checked))
     knots = replace(checked, methods=(Method.ORACLE,), oracle_grid_points=0)
     (knots_only,) = (r.report for r in run_scenario(knots))
@@ -338,16 +305,16 @@ def _cmd_oracle_check(inv: CliInvocation) -> int:
 
 def main(argv=None) -> int:
     try:
-        inv = _parse_invocation(argv)
+        args = _parse_invocation(argv)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        if inv.subcommand == "solve":
-            return _cmd_solve(inv)
-        if inv.subcommand == "sweep":
-            return _cmd_sweep(inv)
-        return _cmd_oracle_check(inv)
+        if args.subcommand == "solve":
+            return _cmd_solve(args)
+        if args.subcommand == "sweep":
+            return _cmd_sweep(args)
+        return _cmd_oracle_check(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -196,9 +196,10 @@ class SweepSpec:
 # Config parsing
 # ---------------------------------------------------------------------------
 
-_SYSTEM_KEYS = {f.name for f in fields(SystemParams)} | {"noise_power_dbm"}
-_CHANNEL_KEYS = {f.name for f in fields(ChannelSpec)}
 _TOP_KEYS = {"system", "channel", "curve", "methods", "oracle_grid_points", "method2_shared_eta"}
+
+#: config keys that give a watt field in dBm
+_DBM_ALIASES = {"noise_power_dbm": "noise_power_w"}
 
 
 def _require_mapping(obj, path: str) -> dict:
@@ -226,52 +227,44 @@ def _integer(obj, path: str) -> int:
     return obj
 
 
-def _parse_system(raw: dict) -> SystemParams:
-    unknown = set(raw) - _SYSTEM_KEYS
+def _numbers(obj, path: str) -> tuple[float, ...]:
+    if not isinstance(obj, list):
+        raise ConfigError(f"{path}: expected a list of numbers")
+    return tuple(_number(x, f"{path}[{i}]") for i, x in enumerate(obj))
+
+
+#: field parser by annotated type (``| None`` stripped)
+_FIELD_PARSERS = {"float": _number, "int": _integer, "tuple[float, ...]": _numbers}
+
+
+def _parse_section(cls, raw, section: str):
+    """Build the dataclass ``cls`` from the config section ``raw``.
+
+    Keys must be fields of ``cls`` or a dBm alias of one of them; each
+    present field is parsed by its annotated type. Errors name the field
+    path under ``section``.
+    """
+    raw = _require_mapping(raw, section)
+    names = {f.name for f in fields(cls)}
+    aliases = {k: v for k, v in _DBM_ALIASES.items() if v in names}
+    unknown = set(raw) - names - set(aliases)
     if unknown:
-        raise ConfigError(f"system.{sorted(unknown)[0]}: unknown field")
-    if "noise_power_w" in raw and "noise_power_dbm" in raw:
-        raise ConfigError("system.noise_power_dbm: give either watts or dBm, not both")
+        raise ConfigError(f"{section}.{sorted(unknown)[0]}: unknown field")
+    for alias, name in aliases.items():
+        if alias in raw and name in raw:
+            raise ConfigError(f"{section}.{alias}: give either watts or dBm, not both")
     kwargs = {}
-    for f in fields(SystemParams):
+    for f in fields(cls):
         if f.name in raw:
-            parse = _integer if f.name == "m_beta_samples" else _number
-            kwargs[f.name] = parse(raw[f.name], f"system.{f.name}")
-    if "noise_power_dbm" in raw:
-        kwargs["noise_power_w"] = dbm_to_watts(
-            _number(raw["noise_power_dbm"], "system.noise_power_dbm")
-        )
+            parse = _FIELD_PARSERS[f.type.removesuffix(" | None")]
+            kwargs[f.name] = parse(raw[f.name], f"{section}.{f.name}")
+    for alias, name in aliases.items():
+        if alias in raw:
+            kwargs[name] = dbm_to_watts(_number(raw[alias], f"{section}.{alias}"))
     try:
-        return SystemParams(**kwargs)
+        return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"system: {exc}") from exc
-
-
-def _parse_channel(raw: dict) -> ChannelSpec:
-    unknown = set(raw) - _CHANNEL_KEYS
-    if unknown:
-        raise ConfigError(f"channel.{sorted(unknown)[0]}: unknown field")
-    try:
-        gains = None
-        if "gains" in raw:
-            if not isinstance(raw["gains"], list):
-                raise ConfigError("channel.gains: expected a list of numbers")
-            gains = tuple(
-                _number(g, f"channel.gains[{i}]") for i, g in enumerate(raw["gains"])
-            )
-        return ChannelSpec(
-            gains=gains,
-            n_users=_integer(raw.get("n_users"), "channel.n_users")
-            if "n_users" in raw
-            else None,
-            gain_min=_number(raw["gain_min"], "channel.gain_min") if "gain_min" in raw else None,
-            gain_max=_number(raw["gain_max"], "channel.gain_max") if "gain_max" in raw else None,
-            seed=_integer(raw["seed"], "channel.seed") if "seed" in raw else None,
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"channel: {exc}") from exc
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 def parse_scenario_config(text: str) -> ScenarioConfig:
@@ -302,11 +295,11 @@ def parse_scenario_config(text: str) -> ScenarioConfig:
     if unknown:
         raise ConfigError(f"{sorted(unknown)[0]}: unknown top-level field")
 
-    system = _parse_system(_require_mapping(raw.get("system", {}), "system"))
+    system = _parse_section(SystemParams, raw.get("system", {}), "system")
 
     if "channel" not in raw:
         raise ConfigError("channel: required section is missing")
-    channel = _parse_channel(_require_mapping(raw["channel"], "channel"))
+    channel = _parse_section(ChannelSpec, raw["channel"], "channel")
 
     if "curve" not in raw:
         raise ConfigError("curve: required section is missing")
@@ -342,22 +335,23 @@ def parse_scenario_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"methods[{i}]: duplicate method {name!r}")
         methods.append(m)
 
-    oracle_grid_points = 25
+    options = {}  # absent keys take the ScenarioConfig defaults
     if "oracle_grid_points" in raw:
-        oracle_grid_points = _integer(raw["oracle_grid_points"], "oracle_grid_points")
-        if oracle_grid_points < 0:
+        grid = _integer(raw["oracle_grid_points"], "oracle_grid_points")
+        if grid < 0:
             raise ConfigError("oracle_grid_points: must be non-negative")
-    shared = raw.get("method2_shared_eta", False)
-    if not isinstance(shared, bool):
-        raise ConfigError("method2_shared_eta: expected true or false")
+        options["oracle_grid_points"] = grid
+    if "method2_shared_eta" in raw:
+        if not isinstance(raw["method2_shared_eta"], bool):
+            raise ConfigError("method2_shared_eta: expected true or false")
+        options["method2_shared_eta"] = raw["method2_shared_eta"]
 
     return ScenarioConfig(
         system=system,
         channel=channel,
         curve_knots=tuple(knots),
         methods=tuple(methods),
-        oracle_grid_points=oracle_grid_points,
-        method2_shared_eta=shared,
+        **options,
     )
 
 

@@ -7,6 +7,7 @@ from pscom_alloc import (
     default_curve,
     generate_channel_gains,
 )
+from pscom_alloc import experiments
 
 
 @pytest.fixture(scope="session")
@@ -29,3 +30,28 @@ def two_user_channel():
 def default_channel():
     """The stock 3-user seeded channel."""
     return generate_channel_gains(3, 1e-10, 1e-8, 42)
+
+
+@pytest.fixture()
+def pool_requests(monkeypatch):
+    """Worker counts asked of ``experiments.ProcessPoolExecutor``.
+
+    A recording stand-in replaces the pool, so no process is ever started.
+    """
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    return requested

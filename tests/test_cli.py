@@ -7,6 +7,7 @@ import pytest
 
 from pscom_alloc import (
     BUDGET_RTOL,
+    DEFAULT_CURVE_KNOTS,
     ChannelSpec,
     Method,
     default_scenario_config,
@@ -14,8 +15,11 @@ from pscom_alloc import (
     realize_channel,
     serialize_scenario_config,
     solve_method1,
+    solve_method2,
+    solve_oracle,
     validate_curve,
 )
+from pscom_alloc import cli
 from pscom_alloc.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
@@ -121,6 +125,37 @@ class TestSolveCommand:
         assert code == EXIT_CONFIG
         assert "--force" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("n_users", [1, 2, 3])
+    @pytest.mark.parametrize("grid_points", [0, 1, 3])
+    @pytest.mark.parametrize("n_knots", [2, 3, 4, 5])
+    def test_enumeration_guard_counts_match_the_solvers(
+        self, monkeypatch, n_knots, grid_points, n_users
+    ):
+        # the guard derives its counts from its own formulas; the solvers
+        # report the vectors they actually enumerated
+        counted = []
+        real_count = cli._vector_count
+
+        def recording_count(n_values, n):
+            counted.append(real_count(n_values, n))
+            return counted[-1]
+
+        monkeypatch.setattr(cli, "_vector_count", recording_count)
+        knots = DEFAULT_CURVE_KNOTS[:n_knots]
+        cfg = dataclasses.replace(
+            default_scenario_config(),
+            channel=ChannelSpec(n_users=n_users, gain_min=1e-10, gain_max=1e-8, seed=1),
+            curve_knots=knots,
+            methods=(Method.METHOD2, Method.ORACLE),
+            oracle_grid_points=grid_points,
+        )
+        cli._guard_enumeration(cfg, n_users, force=False)
+        channel, curve = realize_channel(cfg.channel), validate_curve(knots)
+        assert counted == [
+            solve_method2(channel, curve, cfg.system).outer_candidates_evaluated,
+            solve_oracle(channel, curve, cfg.system, grid_points).outer_candidates_evaluated,
+        ]
 
     def test_infeasible_exit(self, tmp_path, capsys):
         cfg = default_scenario_config()
@@ -274,6 +309,17 @@ class TestSweepCommand:
         )
         assert a == b == EXIT_OK
         assert (out1 / "detail.csv").read_bytes() == (out2 / "detail.csv").read_bytes()
+
+
+    def test_jobs_defaults_to_one(self, config_path, tmp_path, monkeypatch, pool_requests):
+        # no environment variable sets the default: without --jobs no pool starts
+        monkeypatch.setenv("PSCOM_ALLOC_JOBS", "64")
+        code = main(
+            ["sweep", "--config", str(config_path), "--out", str(tmp_path / "o"),
+             "--param", "pmax", "--values", "3,6", "--method", "non_semantic"]
+        )
+        assert code == EXIT_OK
+        assert pool_requests == []
 
 
 class TestOracleCheckCommand:

@@ -27,7 +27,6 @@ from pscom_alloc import (
     serialize_scenario_config,
     watts_to_dbm,
 )
-from pscom_alloc import experiments
 
 NON_SEMANTIC_2USER = 1e7 * math.log2(4001)
 
@@ -40,6 +39,7 @@ TWO_USER_CONFIG = """
 }
 """
 
+SEEDED_CHANNEL = {"n_users": 3, "gain_min": 1e-10, "gain_max": 1e-8, "seed": 42}
 
 # serialize_scenario_config(default_scenario_config()), byte for byte
 DEFAULT_CONFIG_JSON = """\
@@ -161,6 +161,43 @@ class TestConfigParsing:
             (lambda d: d.update(system={"noise_power_dbm": 1e6}), "noise_power_w must be finite"),
             (lambda d: d["channel"].update(gains=[1e-9, math.inf]), "channel.gains[1]"),
             (lambda d: d["curve"]["knots"][1].__setitem__(1, math.nan), "curve.knots[1][1]"),
+            (
+                lambda d: d["channel"].update(gains=5),
+                "channel.gains: expected a list of numbers",
+            ),
+            (
+                lambda d: d["channel"].update(gains=[1e-9, "x"]),
+                "channel.gains[1]: expected a number, got str",
+            ),
+            (
+                lambda d: d.update(channel=dict(SEEDED_CHANNEL, n_users=3.0)),
+                "channel.n_users: expected an integer, got float",
+            ),
+            (
+                lambda d: d.update(channel=dict(SEEDED_CHANNEL, n_users=True)),
+                "channel.n_users: expected an integer, got bool",
+            ),
+            (
+                lambda d: d.update(channel=dict(SEEDED_CHANNEL, gain_min="x")),
+                "channel.gain_min: expected a number, got str",
+            ),
+            (
+                lambda d: d.update(channel=dict(SEEDED_CHANNEL, seed=1.5)),
+                "channel.seed: expected an integer, got float",
+            ),
+            (
+                lambda d: d.update(channel=dict(SEEDED_CHANNEL, seed=None)),
+                "channel.seed: expected an integer, got NoneType",
+            ),
+            (
+                lambda d: d.update(channel=dict(SEEDED_CHANNEL, bogus=1)),
+                "channel.bogus: unknown field",
+            ),
+            # the unknown field is reported before the noise-unit conflict
+            (
+                lambda d: d["system"].update(bogus=1, noise_power_dbm=-90),
+                "system.bogus: unknown field",
+            ),
         ],
     )
     def test_field_path_errors(self, mutate, path_fragment):
@@ -323,29 +360,12 @@ class TestSweeps:
         "jobs, n_points, workers",
         [(64, 2, 2), (2, 10, 2), (64, 1, None), (1, 3, None)],
     )
-    def test_workers_capped_at_sweep_points(self, monkeypatch, jobs, n_points, workers):
-        # a recording stand-in for the pool: no process is ever started
-        requested = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    def test_workers_capped_at_sweep_points(self, pool_requests, jobs, n_points, workers):
         cfg = dataclasses.replace(default_scenario_config(), methods=(Method.NON_SEMANTIC,))
         values = tuple(float(v) for v in range(3, 3 + n_points))
         records = run_sweep(cfg, SweepSpec(SweepParam.PMAX, values), jobs=jobs)
         assert [r.sweep_value for r in records] == list(values)
-        assert requested == ([] if workers is None else [workers])
+        assert pool_requests == ([] if workers is None else [workers])
 
 
 # ---------------------------------------------------------------------------
