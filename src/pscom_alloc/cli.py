@@ -134,7 +134,8 @@ def _parse_invocation(argv) -> argparse.Namespace:
     """
     args = _build_parser().parse_args(argv)
     if not args.config.is_file():
-        raise CliError(f"config path does not exist: {args.config}")
+        problem = "is not a file" if args.config.exists() else "does not exist"
+        raise CliError(f"config path {problem}: {args.config}")
     if args.subcommand == "sweep":
         try:
             args.values = tuple(float(v) for v in args.values.split(","))

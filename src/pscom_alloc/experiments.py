@@ -370,7 +370,11 @@ def serialize_scenario_config(config: ScenarioConfig) -> str:
 
 
 def load_scenario_config(path) -> ScenarioConfig:
-    return parse_scenario_config(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config: not valid UTF-8 ({exc})") from exc
+    return parse_scenario_config(text)
 
 
 def default_scenario_config() -> ScenarioConfig:

@@ -21,9 +21,8 @@ advances rows in lockstep against a vectorized budget predicate. Method 1
 bisects one row per beta sample with the kernel ``_method1_power_sums``. At
 a fixed tau the fixed-ratio budget (method 2, oracle) separates by user, so
 one row always gives tau and the winner: each user's cheapest ratio, or the
-cheapest common ratio in the shared-ratio search. The counts are still those
-of bisecting every vector with the kernel ``_fixed_eta_power_sums``, which
-runs per vector only to count iterations when their number is unproven.
+cheapest common ratio in the shared-ratio search. Iteration counts come from
+a meet-in-the-middle count of the vectors that fit at ``tau_lo_init``.
 
 ``solve_equal_power`` and ``solve_non_semantic`` are the comparison
 baselines, and ``solve_oracle`` densifies the ratio grid for small instances
@@ -436,6 +435,38 @@ def _index_batches(base: int, n_users: int) -> Iterator[np.ndarray]:
         yield idx
 
 
+def _fits(table: np.ndarray, idx: np.ndarray, budget_tol: float) -> np.ndarray:
+    """Whether each knot-index row of ``idx``, summed over ``table``, fits."""
+    return np.sum(table[idx, np.arange(table.shape[1])], axis=1) <= budget_tol
+
+
+def _count_fitting(table: np.ndarray, budget_tol: float) -> int:
+    """How many knot-index rows over ``table`` ``_fits``, by meet in the middle.
+
+    The first ceil(N/2) entries of a vector sum to a, the rest to b (Horowitz
+    & Sahni, 1974). With T = budget_tol, m = 3N ulp(T), t1 = fl(T - m) and
+    t2 = fl(T + m), a <= fl(t1 - b) fits, a > fl(t2 - b) does not, and
+    ``_fits`` decides the rest. Proof: adding N terms in [0, +inf] in any
+    order, as ``np.sum``'s s and a + b do, gives S(1 + d), S exact, |d| <= g
+    = ku/(1 - ku), k = N - 1, u = 2^-53 (Higham, 2002, sec. 4.2); fl(x) is
+    within u|x| of x; m >= 3NuT; 6Nu <= 1. Fits: a >= 0 gives b <= t1, so
+    a + b <= t1(1 + u) <= (T - m)(1 + u)^2 and s <= (a + b)/(1 - 2ku) <= T.
+    Not: a + b > t2(1 - u) >= (T + m)(1 - u)^2, s >= (a + b)(1 - 2ku) > T.
+    Overflow rounds up, breaking only upper bounds: infinite a or b means
+    S(1 + g) >= 2^1024 (1 - u), s > 2^1023 >= T. Above it all are undecided.
+    """
+    n, cols = table.shape
+    a, b = (sum(np.ix_(*h.T), np.zeros(())).ravel() for h in np.hsplit(table, [(cols + 1) // 2]))
+    order = np.argsort(a)
+    m = 3 * cols * math.ulp(budget_tol)
+    t1, t2 = (budget_tol - m, budget_tol + m) if budget_tol <= 2.0**1023 else (-math.inf, math.nan)
+    fit, maybe = np.searchsorted(a[order], [t1 - b, t2 - b], side="right")
+    for j in np.flatnonzero(maybe > fit):  # vector (i, j) sits at i * len(b) + j
+        rows = np.unravel_index(order[fit[j] : maybe[j]] * len(b) + j, (n,) * cols)
+        fit[j] += np.count_nonzero(_fits(table, np.column_stack(rows), budget_tol))
+    return int(fit.sum())
+
+
 def _best_fixed_eta(
     method: Method,
     channel: ChannelState,
@@ -467,10 +498,8 @@ def _best_fixed_eta(
     vector of the search. (c) ``np.sum(axis=1)`` gives each row of a
     C-contiguous (m, N) block the same bits for every m, and the table holds
     the kernel's elementwise bits; a one-column row sums to its one entry.
-    None of this uses the iteration count. Counts: with K proven by
-    ``_path_independent_iterations``, a vector that fits at ``tau_lo_init``
-    runs K iterations and any other none; otherwise every vector is bisected
-    with ``_fixed_eta_power_sums`` only to count its iterations.
+    None of this uses the counts: K (``_path_independent_iterations``) times
+    ``_count_fitting`` at ``tau_lo_init``, else every vector bisected.
     """
     n = channel.n_users
     cols = 1 if shared else n
@@ -486,24 +515,20 @@ def _best_fixed_eta(
             table = _fixed_eta_power_terms(values[:, None], p_c[:, None], gains, params, taus)
             return np.sum(table, axis=1, keepdims=True) if shared else table
 
-    def fits(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return np.sum(table[idx, np.arange(cols)], axis=1) <= budget_tol
-
-    iters_total = 0
-    lo_table = table_at(np.array([lo]))
-    for idx in _index_batches(len(values), cols):
-        if k_iters is not None:
-            iters_total += k_iters * int(np.count_nonzero(fits(lo_table, idx)))
-            continue
-        eta_mat, p_c_mat = values[idx], p_c[idx]
-        outcome = bisect_tau(
-            lambda taus: _fixed_eta_power_sums(eta_mat, p_c_mat, gains, params, taus)
-            <= budget_tol,
-            len(idx), lo, hi, eps,
-        )
-        iters_total += int(outcome.iterations.sum())
+    if k_iters is not None:
+        iters_total = k_iters * _count_fitting(table_at(np.array([lo])), budget_tol)
+    else:
+        iters_total = 0
+        for idx in _index_batches(len(values), cols):
+            eta_mat, p_c_mat = values[idx], p_c[idx]
+            outcome = bisect_tau(
+                lambda taus: _fixed_eta_power_sums(eta_mat, p_c_mat, gains, params, taus)
+                <= budget_tol,
+                len(idx), lo, hi, eps,
+            )
+            iters_total += int(outcome.iterations.sum())
     outcome = bisect_tau(
-        lambda taus: fits(t := table_at(taus), np.argmin(t, axis=0)[None]),
+        lambda taus: _fits(t := table_at(taus), np.argmin(t, axis=0)[None], budget_tol),
         1, lo, hi, eps,
     )
     feasible = bool(outcome.converged[0])
@@ -514,7 +539,7 @@ def _best_fixed_eta(
         for col in range(cols):
             idx = np.tile(row, (len(values), 1))
             idx[:, col] = np.arange(len(values))
-            row[col] = np.flatnonzero(fits(table, idx))[0]
+            row[col] = np.flatnonzero(_fits(table, idx, budget_tol))[0]
         eta_vec = tuple(float(v) for v in values[np.broadcast_to(row, (n,))])
         p_t = [p_t_from_tau(tau, eta_vec[i], float(gains[i]), params) for i in range(n)]
         alloc = derive_allocation(eta_vec, p_t, channel, curve, params)

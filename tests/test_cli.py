@@ -84,6 +84,19 @@ class TestSolveCommand:
         assert code == EXIT_CONFIG
         assert "does not exist" in capsys.readouterr().err
 
+    def test_config_path_is_a_directory(self, tmp_path, capsys):
+        code = main(["solve", "--config", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: config path is not a file: {tmp_path}\n"
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe")
+        code = main(["solve", "--config", str(path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config: not valid UTF-8 (") and "0xff" in err
+
     def test_unknown_method_name(self, config_path, capsys):
         code = main(["solve", "--config", str(config_path), "--method", "bogus"])
         assert code == EXIT_CONFIG

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import sys
 import time
 
 import numpy as np
@@ -33,6 +34,10 @@ from pscom_alloc import (
 )
 from pscom_alloc.solvers import (
     _CHUNK,
+    _comp_power_matrix,
+    _count_fitting,
+    _fits,
+    _fixed_eta_power_terms,
     _index_batches,
     _method1_power_sums,
     _oracle_candidates,
@@ -659,6 +664,103 @@ class TestFixedEtaMatchesExhaustiveReference:
             left_to_right = [sum(table[r, np.arange(n)].tolist()) for r in rows]
             order_matters |= left_to_right != single
         assert order_matters  # the data can tell summation orders apart
+
+
+class TestCountFitting:
+    """The meet-in-the-middle count equals ``_fits`` over every knot-index row."""
+
+    TWO_SEGMENTS = TestFixedEtaMatchesExhaustiveReference.TWO_SEGMENTS
+
+    @staticmethod
+    def table_at_tau_lo(chan, curve, params):
+        # the per-(ratio, user) table the fixed-ratio search counts on
+        values = np.array(curve.candidate_etas)
+        p_c = _comp_power_matrix(values, curve, params)
+        taus = np.array([params.tau_lo_init])
+        with np.errstate(over="ignore"):
+            return _fixed_eta_power_terms(values[:, None], p_c[:, None], chan.gains, params, taus)
+
+    @staticmethod
+    def check(table, tol):
+        exhaustive = sum(
+            int(np.count_nonzero(_fits(table, idx, tol))) for idx in _index_batches(*table.shape)
+        )
+        count = _count_fitting(table, tol)
+        assert count == exhaustive
+        return count
+
+    def check_on_row_sums(self, table, seed):
+        # budgets at, and one ulp either side of, the sums of a few vectors:
+        # the vectors where the summation order can decide
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, len(table), size=(4, table.shape[1]))
+        for on_row in np.sum(table[rows, np.arange(table.shape[1])], axis=1):
+            for tol in (np.nextafter(on_row, 0.0), on_row, np.nextafter(on_row, math.inf)):
+                self.check(table, float(tol))
+
+    @pytest.mark.parametrize("n_users", range(1, 12))
+    def test_two_segments(self, n_users):
+        params = SystemParams(p_max_w=0.6 * n_users)
+        chan = generate_channel_gains(n_users, 1e-10, 1e-8, n_users)
+        table = self.table_at_tau_lo(chan, validate_curve(self.TWO_SEGMENTS), params)
+        assert 0 < self.check(table, budget_tol(params)) < 3**n_users
+        self.check_on_row_sums(table, n_users)
+
+    def test_stock_curve_nine_users(self, curve, params):
+        table = self.table_at_tau_lo(generate_channel_gains(9, 1e-10, 1e-8, 1), curve, params)
+        assert 0 < self.check(table, budget_tol(params)) < 5**9
+
+    @pytest.mark.parametrize(
+        "p_max_w",
+        [3e268, 1e308, sys.float_info.max],  # the last two leave T above 2^1023
+        ids=["finite_budget", "above_2^1023", "infinite_budget_tol"],
+    )
+    def test_infinite_entries(self, p_max_w):
+        # ratio 1 needs 1500 doublings and overflows to +inf; ratio 0.6 needs
+        # 900, about 1e268 W, and ratio 0.2 is negligible
+        params = SystemParams(
+            bandwidth_hz=1e6, p_max_w=p_max_w, tau_lo_init=1.5e9, tau_hi_init=1e10
+        )
+        chan = generate_channel_gains(6, 1e-10, 1e-8, 5)
+        table = self.table_at_tau_lo(chan, validate_curve(self.TWO_SEGMENTS), params)
+        assert np.isinf(table[0]).all() and np.isfinite(table[1:]).all()
+        count = self.check(table, budget_tol(params))
+        if p_max_w == 3e268:  # no vector with ratio 1 fits, nor every other one
+            assert 1 < count < 2**6
+
+    def test_eight_columns_on_budget(self):
+        # the vector of test_method2_vector_on_budget_at_tau_lo: np.sum puts it
+        # exactly on the budget, left-to-right summation one ulp over it
+        chan = generate_channel_gains(8, 1e-10, 1e-8, 1)
+        params = SystemParams(p_max_w=4.499999999996148)
+        table = self.table_at_tau_lo(chan, validate_curve(self.TWO_SEGMENTS), params)
+        on_budget = np.array([[0] * 5 + [2] * 3])
+        tol = budget_tol(params)
+        assert _fits(table, on_budget, tol)[0]
+        assert sum(table[on_budget[0], np.arange(8)].tolist()) > tol
+        for t in (np.nextafter(tol, 0.0), tol, np.nextafter(tol, math.inf)):
+            self.check(table, float(t))
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(data=st.data(), n_values=st.integers(1, 4), cols=st.integers(1, 9))
+    def test_random_tables(self, data, n_values, cols):
+        # decimal fractions make sums that depend on their order; the budget
+        # is often one vector's np.sum, or within a few ulps of it
+        entry = st.one_of(
+            st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, math.inf]),
+            st.floats(0.0, 10.0),
+            st.floats(0.0, 1e300),
+        )
+        table = np.array(
+            data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                               min_size=n_values, max_size=n_values))
+        )
+        row = data.draw(st.lists(st.integers(0, n_values - 1), min_size=cols, max_size=cols))
+        tol = float(np.sum(table[np.array([row]), np.arange(cols)], axis=1)[0])
+        ulps = data.draw(st.integers(-3, 3), label="ulps")
+        for _ in range(abs(ulps)):
+            tol = math.nextafter(tol, math.inf if ulps > 0 else 0.0)
+        self.check(table, data.draw(st.just(tol) | st.floats(0.0, 1e301), label="tol"))
 
 
 # ---------------------------------------------------------------------------
