@@ -18,11 +18,14 @@ bisections on the target rate tau, one per outer candidate:
 
 All of these bisections run on one engine, :func:`bisect_tau`, which
 advances rows in lockstep against a vectorized budget predicate. Method 1
-bisects one row per beta sample with the kernel ``_method1_power_sums``. At
-a fixed tau the fixed-ratio budget (method 2, oracle) separates by user, so
-one row always gives tau and the winner: each user's cheapest ratio, or the
-cheapest common ratio in the shared-ratio search. Iteration counts come from
-a meet-in-the-middle count of the vectors that fit at ``tau_lo_init``.
+bisects one row, "some beta fits", with the kernel ``_method1_power_sums``
+over the betas that still fit at the row's lower bound; it bisects one row
+per beta sample only when the iteration count is unproven or the load curve
+fails a knot check. At a fixed tau the fixed-ratio budget (method 2, oracle)
+separates by user, so one row always gives tau and the winner: each user's
+cheapest ratio, or the cheapest common ratio in the shared-ratio search.
+Iteration counts come from a meet-in-the-middle count of the vectors that fit
+at ``tau_lo_init``, and for method 1 from the betas that fit there.
 
 ``solve_equal_power`` and ``solve_non_semantic`` are the comparison
 baselines, and ``solve_oracle`` densifies the ratio grid for small instances
@@ -210,14 +213,13 @@ def enumerate_eta_vectors(
 
 
 def _capacities(p_t_mat: np.ndarray, gains: np.ndarray, params: SystemParams) -> np.ndarray:
-    # Scalar channel_capacity on purpose: np.log1p and math.log1p disagree in
-    # the last bit on some inputs, and the ratios must match the capacities
+    # channel_capacity's operations in its order, elementwise: the same IEEE
+    # results. math.log1p on purpose: np.log1p disagrees with it in the last
+    # bit on some inputs, and the ratios must match the capacities
     # derive_allocation computes for the reported rates.
-    g = [float(h) for h in gains]
-    return np.array(
-        [[channel_capacity(p, g[n], params) for n, p in enumerate(row)]
-         for row in p_t_mat.tolist()]
-    )
+    snr = p_t_mat * gains / params.noise_power_w
+    logs = np.fromiter(map(math.log1p, snr.ravel().tolist()), np.float64, snr.size)
+    return params.bandwidth_hz * logs.reshape(snr.shape) / _LN2
 
 
 def _method1_power_sums(
@@ -263,6 +265,13 @@ def method1_power_sum(
     return float(_method1_power_sums(p_t, caps, curve, params, taus)[0])
 
 
+def _interp_non_increasing(curve: CompLoadCurve) -> bool:
+    """Whether ``np.interp`` on the curve never rises from just below a knot to it."""
+    xs, ys = curve._etas_asc, curve._loads_asc
+    below = np.interp(np.nextafter(xs, -math.inf), xs, ys)
+    return bool(np.all(below >= np.interp(xs, xs, ys)))
+
+
 def solve_method1(
     channel: ChannelState, curve: CompLoadCurve, params: SystemParams
 ) -> SolveReport:
@@ -270,23 +279,61 @@ def solve_method1(
 
     For each sampled beta, transmit powers are beta over the gain (equal
     received power, hence equal capacity up to rounding) and tau is bisected
-    against the power budget, one engine row per beta. The best tau across
-    the grid wins; ties break toward the smaller beta.
+    against the power budget. Reports what bisecting every beta reports: the
+    best tau across the grid wins, ties toward the smaller beta, with every
+    beta's counts.
+
+    One row gives tau: "some beta fits", as in ``_best_fixed_eta`` (its proof
+    (a): that row's path is the best beta's path, bit for bit). After each
+    feasible answer the row keeps only the betas that fit; every midpoint it
+    tests later lies above that point, where a dropped beta cannot fit. The
+    winner is the first beta that fits at tau, from one call over the whole
+    grid, not from the survivors: ``bisect_tau`` may test ``mid == hi`` after
+    a float-resolution stop and ignore the answer. Each beta that fits at
+    ``tau_lo_init`` counts K iterations (``_path_independent_iterations``).
+
+    Proof that each beta's predicate is a step in tau, true then false. The
+    ratio min(cap / tau, 1) does not rise with tau: IEEE division and min
+    are monotone, and 0/0 (NaN, infeasible) occurs only at tau = 0, for a
+    zero capacity, which is below the floor at every tau > 0 too. The load
+    ``np.interp`` gives does not fall as the ratio falls: inside a segment
+    the slope-point formula, slope <= 0 times x - x_j plus y_j, is monotone
+    and at most y_j, the value at the knot x_j itself, and
+    ``_interp_non_increasing`` checks each segment's other end, just below
+    the next knot. Scaling by p0 >= 0, adding the transmit power and summing
+    in index order are monotone, and the test ratio >= ``eta_floor`` fails
+    from some tau on. So the sum does not fall as tau rises, and "sum <=
+    budget" holds up to a point and fails beyond it. Without a proven K, or
+    on a curve that fails the knot check, every beta is bisected in lockstep.
     """
     n = channel.n_users
     betas = beta_grid(beta_range(channel, params), params.m_beta_samples)
     p_t = betas[:, None] / channel.gains[None, :]
     caps = _capacities(p_t, channel.gains, params)
     budget_tol = params.p_max_w * (1.0 + BUDGET_RTOL)
-    outcome = bisect_tau(
-        lambda taus: _method1_power_sums(p_t, caps, curve, params, taus) <= budget_tol,
-        len(betas),
-        params.tau_lo_init,
-        params.tau_hi_init,
-        params.epsilon,
-    )
-    iters_total = int(outcome.iterations.sum())
-    k = _best_row(outcome)
+    lo, hi, eps = float(params.tau_lo_init), params.tau_hi_init, params.epsilon
+    k_iters = _path_independent_iterations(lo, hi, eps)
+
+    def fits(taus: np.ndarray, rows=slice(None)) -> np.ndarray:
+        return _method1_power_sums(p_t[rows], caps[rows], curve, params, taus) <= budget_tol
+
+    if k_iters is None or not _interp_non_increasing(curve):
+        outcome = bisect_tau(fits, len(betas), lo, hi, eps)
+        iters_total = int(outcome.iterations.sum())
+        k = _best_row(outcome)
+    else:
+        survivors = np.flatnonzero(fits(np.array([lo])))
+        iters_total = k_iters * len(survivors)
+
+        def some_fit(taus: np.ndarray) -> np.ndarray:  # one target tau, shape (1,)
+            nonlocal survivors
+            fit = fits(taus, survivors)
+            if fit.any():
+                survivors = survivors[fit]
+            return fit.any(keepdims=True)
+
+        outcome = bisect_tau(some_fit, 1, lo, hi, eps)
+        k = int(np.argmax(fits(outcome.tau_bps))) if outcome.converged[0] else None
     if k is None:
         return SolveReport(
             method=Method.METHOD1,
@@ -296,7 +343,7 @@ def solve_method1(
             outer_candidates_evaluated=len(betas),
             bisection_iterations_total=iters_total,
         )
-    tau = float(outcome.tau_bps[k])
+    tau = float(np.max(outcome.tau_bps[outcome.converged]))  # the best row's
     # the winning row converged, so its ratios are defined even at tau = 0
     with np.errstate(divide="ignore"):
         etas = np.minimum(caps[k] / tau, 1.0)

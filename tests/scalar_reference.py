@@ -1,7 +1,9 @@
 """Straightforward references for the search schemes.
 
 * Method 1: one Python-float bisection per beta sample, with a user-by-user
-  power sum. The package runs the same search as numpy rows in lockstep.
+  power sum. The package bisects one row, "some beta fits", over the betas
+  that still fit, and runs every beta as a numpy row in lockstep only when
+  the iteration count is unproven or the load curve fails its knot check.
 * The fixed-ratio family (method 2, oracle): every ratio vector is bisected
   and the best kept. The package bisects one row, each user's cheapest ratio
   (or the cheapest common ratio), and bisects every vector only to count

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pscom_alloc import (
     BUDGET_RTOL,
@@ -32,18 +32,22 @@ from pscom_alloc import (
     solve_oracle,
     validate_curve,
 )
+from pscom_alloc import solvers
 from pscom_alloc.solvers import (
     _CHUNK,
+    _capacities,
     _comp_power_matrix,
     _count_fitting,
     _fits,
     _fixed_eta_power_terms,
     _index_batches,
+    _interp_non_increasing,
     _method1_power_sums,
     _oracle_candidates,
     _path_independent_iterations,
 )
 
+import scalar_reference
 from scalar_reference import scalar_bisect_tau, solve_fixed_eta_exhaustive, solve_method1_scalar
 
 NON_SEMANTIC_2USER = 1e7 * math.log2(4001)  # h=[1e-9,2e-9], P=6, B=1e7, s2=1e-12
@@ -400,6 +404,109 @@ class TestMethod1MatchesScalarReference:
             solve_method1(default_channel, curve, params),
             solve_method1_scalar(default_channel, curve, params),
         )
+
+    # np.interp on this curve drops by rounding from just below a knot to the
+    # knot itself, so the knot check rejects it and every beta is bisected
+    NON_MONOTONE_INTERP = (
+        (1, 0),
+        (0.5, 115.12807125241706),
+        (0.47448580038293403, 197.55196980435727),
+        (0.22, 1087.5451444277),
+        (0.2, 1167.2624337016891),
+        (0.07, 1759.9639901703117),
+    )
+
+    @pytest.mark.parametrize("n_users", [1, 3, 5, 7])
+    @pytest.mark.parametrize(
+        "knots, params, pruned",
+        [
+            pytest.param(None, SystemParams(tau_lo_init=0.0), True, id="zero_lower_bound"),
+            # hundreds of betas fit at the capped tau: the earliest must win
+            pytest.param(None, SystemParams(tau_hi_init=1e8), True, id="capped_bracket"),
+            pytest.param(None, SystemParams(epsilon=1e-9), False, id="tiny_epsilon"),
+            pytest.param(NON_MONOTONE_INTERP, SystemParams(), False, id="non_monotone_interp"),
+        ],
+    )
+    def test_pruned_and_lockstep_paths(self, monkeypatch, curve, n_users, knots, params, pruned):
+        curve = curve if knots is None else validate_curve(knots)
+        k_iters = _path_independent_iterations(
+            params.tau_lo_init, params.tau_hi_init, params.epsilon
+        )
+        assert (k_iters is not None and _interp_non_increasing(curve)) == pruned
+        reference_sum = scalar_reference.beta_power_sum
+
+        def at_zero_too(p_t, caps, curve, params, tau):
+            # the reference divides Python floats, which raise at tau = 0;
+            # there every ratio clamps to 1 and costs no computation power,
+            # unless a zero capacity leaves it undefined (0/0): infeasible
+            if tau != 0:
+                return reference_sum(p_t, caps, curve, params, tau)
+            if 0.0 in caps:
+                return math.inf
+            total = 0.0
+            for p in p_t:
+                total += p
+            return total
+
+        rows = []
+
+        def recording(feasible_at, n_rows, *bracket):
+            rows.append(n_rows)
+            return bisect_tau(feasible_at, n_rows, *bracket)
+
+        monkeypatch.setattr(scalar_reference, "beta_power_sum", at_zero_too)
+        monkeypatch.setattr(solvers, "bisect_tau", recording)
+        chan = generate_channel_gains(n_users, 1e-10, 1e-8, 3)
+        self.assert_same(
+            solve_method1(chan, curve, params), solve_method1_scalar(chan, curve, params)
+        )
+        assert rows == [1 if pruned else params.m_beta_samples]
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        ratios=st.lists(st.floats(0.02, 0.98), min_size=1, max_size=5, unique=True),
+        slopes=st.lists(st.floats(1.0, 5000.0), min_size=5, max_size=5),
+        n_users=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+        p_max_w=st.floats(0.05, 12.0),
+    )
+    def test_random_curves(self, ratios, slopes, n_users, seed, p_max_w):
+        # knots off any short binary grid, so np.interp's slopes and values
+        # round (the knot check's failures are the non-monotone case above)
+        etas = [1.0] + sorted(ratios, reverse=True)
+        knots = [(1.0, 0.0)]
+        for e_hi, e_lo, m in zip(etas, etas[1:], sorted(slopes)):
+            knots.append((e_lo, knots[-1][1] + m * (e_hi - e_lo)))
+        try:
+            curve = validate_curve(knots)
+        except ValueError:  # rounding can shrink a slope below the last one
+            assume(False)
+        params = SystemParams(p_max_w=p_max_w, m_beta_samples=25)
+        chan = generate_channel_gains(n_users, 1e-10, 1e-8, seed)
+        self.assert_same(
+            solve_method1(chan, curve, params), solve_method1_scalar(chan, curve, params)
+        )
+
+
+class TestCapacityTable:
+    """``_capacities`` holds ``channel_capacity``'s bits, entry by entry."""
+
+    @pytest.mark.parametrize("n_users", range(1, 9))
+    def test_matches_scalar_capacity(self, n_users):
+        cases = itertools.product(range(20), (1e-13, 3.7e-12, 1e-11), (0.05, 6.0, 12.0))
+        for seed, noise_power_w, p_max_w in cases:
+            params = SystemParams(noise_power_w=noise_power_w, p_max_w=p_max_w)
+            chan = generate_channel_gains(n_users, 1e-10, 1e-8, seed)
+            betas = beta_grid(beta_range(chan, params), 101)  # beta = 0 first
+            p_t = betas[:, None] / chan.gains[None, :]
+            expect = np.array(
+                [[channel_capacity(p, float(h), params) for p, h in zip(row, chan.gains)]
+                 for row in p_t.tolist()]
+            )
+            table = _capacities(p_t, chan.gains, params)
+            assert table.shape == expect.shape
+            differ = table.view(np.uint64) != expect.view(np.uint64)
+            assert not differ.any(), (seed, noise_power_w, p_max_w, np.argwhere(differ)[:5])
 
 
 # ---------------------------------------------------------------------------
